@@ -82,10 +82,21 @@ let run_upgrade () =
 
 (* BENCH_engine.json is shared by the engine and colocation targets:
    read-modify-write so each target owns its top-level keys and running one
-   doesn't clobber the other's numbers. *)
+   doesn't clobber the other's numbers.  Every section written is stamped
+   with the mode that produced it ("quick" or "full"), so numbers from the
+   two never mix unmarked. *)
 let bench_json = "BENCH_engine.json"
 
 let update_bench_json kvs =
+  let mode = Obs.Json.Str (if !quick then "quick" else "full") in
+  let kvs =
+    List.map
+      (function
+        | k, Obs.Json.Obj o ->
+          (k, Obs.Json.Obj (("mode", mode) :: List.remove_assoc "mode" o))
+        | kv -> kv)
+      kvs
+  in
   let existing =
     if Sys.file_exists bench_json then begin
       let ic = open_in_bin bench_json in
@@ -670,21 +681,25 @@ let run_engine () =
     abi_fired;
   update_bench_json
     [
-      ("events", Obs.Json.Num (float_of_int events));
-      ( "workloads",
-        Obs.Json.Arr
-          (List.map
-             (fun (name, (rh, wh), (rt, wt)) ->
-               Obs.Json.Obj
-                 [
-                   ("name", Obs.Json.Str name);
-                   ("heap_events_per_sec", Obs.Json.Num rh);
-                   ("wheel_events_per_sec", Obs.Json.Num rt);
-                   ("speedup", Obs.Json.Num (rt /. rh));
-                   ("heap_minor_words_per_event", Obs.Json.Num wh);
-                   ("wheel_minor_words_per_event", Obs.Json.Num wt);
-                 ])
-             results) );
+      ( "engine",
+        Obs.Json.Obj
+          [
+            ("events", Obs.Json.Num (float_of_int events));
+            ( "workloads",
+              Obs.Json.Arr
+                (List.map
+                   (fun (name, (rh, wh), (rt, wt)) ->
+                     Obs.Json.Obj
+                       [
+                         ("name", Obs.Json.Str name);
+                         ("heap_events_per_sec", Obs.Json.Num rh);
+                         ("wheel_events_per_sec", Obs.Json.Num rt);
+                         ("speedup", Obs.Json.Num (rt /. rh));
+                         ("heap_minor_words_per_event", Obs.Json.Num wh);
+                         ("wheel_minor_words_per_event", Obs.Json.Num wt);
+                       ])
+                   results) );
+          ] );
       ( "gc",
         Obs.Json.Obj
           [

@@ -9,6 +9,7 @@ type ops = {
   op_now : unit -> int;
   op_rng : unit -> Sim.Rng.t;
   op_charge : int -> unit;
+  op_charge_scan : int -> unit;
   op_aseq : unit -> int;
   op_make_txn :
     tid:int -> target:int -> with_aseq:bool -> thread_seq:int option -> Txn.t;
@@ -45,6 +46,7 @@ let cpu t = t.ops.op_cpu ()
 let now t = t.ops.op_now ()
 let rng t = t.ops.op_rng ()
 let charge t ns = t.ops.op_charge ns
+let charge_scan t n = t.ops.op_charge_scan n
 
 let aseq t = t.ops.op_aseq ()
 

@@ -43,6 +43,13 @@ val rng : t -> Sim.Rng.t
 val charge : t -> int -> unit
 (** Account [ns] of policy computation to the agent's busy interval. *)
 
+val charge_scan : t -> int -> unit
+(** Account [n] CPU-scan steps — the simulated cost of [n] {!cpu_is_idle}
+    or {!curr_on} probes — without reading any CPU state.  A policy whose
+    loop would probe CPUs whose answers cannot change its decisions (say,
+    idle CPUs with nothing queued to place) charges those probes here in
+    one call, leaving the simulated clock exactly where probing would. *)
+
 val aseq : t -> int
 (** The agent's sequence number as read from its status word (§3.2). *)
 
@@ -89,7 +96,11 @@ val idle_cpus : t -> int list
 (** Idle CPUs of the enclave, charged one scan step each. *)
 
 val cpu_is_idle : t -> int -> bool
+(** Charged one scan step. *)
+
 val curr_on : t -> int -> Kernel.Task.t option
+(** Charged one scan step. *)
+
 val latched_on : t -> int -> Kernel.Task.t option
 val lower_class_waiting : t -> int -> bool
 val managed_threads : t -> Kernel.Task.t list
@@ -136,6 +147,7 @@ type ops = {
   op_now : unit -> int;
   op_rng : unit -> Sim.Rng.t;
   op_charge : int -> unit;
+  op_charge_scan : int -> unit;
   op_aseq : unit -> int;
   op_make_txn :
     tid:int -> target:int -> with_aseq:bool -> thread_seq:int option -> Txn.t;

@@ -52,12 +52,14 @@ let make_policy ~name ?(abi_version = Abi.version) ?(init = fun _ -> ())
   { name; abi_version; init; schedule; on_result; on_cpu_added; on_cpu_removed }
 
 let base_pass_cost = 100 (* status-word reads, loop bookkeeping *)
+let scan_step_cost = 5 (* one probe of a CPU's idle/current state *)
 
 (* --- The operations behind the Abi ----------------------------------------- *)
 
 let now ctx = Kernel.now ctx.group.kern
 let rng ctx = Kernel.rng ctx.group.kern
 let charge ctx ns = ctx.charged <- ctx.charged + max 0 ns
+let charge_scan ctx n = charge ctx (n * scan_step_cost)
 
 let sw_of g cpu = Hashtbl.find g.sws cpu
 let aseq ctx = Status_word.seq (sw_of ctx.group ctx.cur_cpu)
@@ -76,11 +78,11 @@ let recall ctx ~target =
 let enclave_cpu_list ctx = ctx.group.cpu_list
 
 let cpu_is_idle ctx c =
-  charge ctx 5;
+  charge ctx scan_step_cost;
   Kernel.cpu_idle ctx.group.kern c
 
 let curr_on ctx c =
-  charge ctx 5;
+  charge ctx scan_step_cost;
   Kernel.curr ctx.group.kern c
 
 let latched_on ctx c = System.latched ctx.group.sys ~cpu:c
@@ -162,6 +164,7 @@ let get_abi g =
           op_now = (fun () -> now ctx);
           op_rng = (fun () -> rng ctx);
           op_charge = (fun ns -> charge ctx ns);
+          op_charge_scan = (fun n -> charge_scan ctx n);
           op_aseq = (fun () -> aseq ctx);
           op_make_txn =
             (fun ~tid ~target ~with_aseq ~thread_seq ->

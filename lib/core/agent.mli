@@ -61,6 +61,14 @@ val make_policy :
 (** Build a policy record with no-op defaults for everything but
     [schedule].  [abi_version] defaults to the runtime's [Abi.version]. *)
 
+val base_pass_cost : int
+(** Simulated ns every scheduling pass costs before the policy charges
+    anything (status-word reads, loop bookkeeping). *)
+
+val scan_step_cost : int
+(** Simulated ns of one CPU-state probe ([Abi.cpu_is_idle],
+    [Abi.curr_on]) and of each step [Abi.charge_scan] accounts. *)
+
 type group
 (** The agent threads attached to one enclave. *)
 

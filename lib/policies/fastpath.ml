@@ -20,7 +20,7 @@ type t = {
   cap : int;
   mask : int;
   mirror : int array;  (* ring slot -> tid we published there, or -1 *)
-  present : (int, unit) Hashtbl.t;  (* tids currently published by us *)
+  mutable present : Bytes.t;  (* bit [tid]: currently published by us *)
   mutable head_seen : int;  (* consumer cursor at our last reconcile *)
 }
 
@@ -31,11 +31,29 @@ let create ?(cap = 256) () =
     cap;
     mask = cap - 1;
     mirror = Array.make cap (-1);
-    present = Hashtbl.create 64;
+    present = Bytes.make 64 '\000';
     head_seen = 0;
   }
 
 let cap t = t.cap
+
+let published t tid =
+  let byte = tid lsr 3 in
+  byte < Bytes.length t.present
+  && Char.code (Bytes.get t.present byte) land (1 lsl (tid land 7)) <> 0
+
+let set_present t tid on =
+  let byte = tid lsr 3 in
+  let len = Bytes.length t.present in
+  if byte >= len then begin
+    let grown = Bytes.make (max (byte + 1) (2 * len)) '\000' in
+    Bytes.blit t.present 0 grown 0 len;
+    t.present <- grown
+  end;
+  let bits = Char.code (Bytes.get t.present byte) in
+  let bit = 1 lsl (tid land 7) in
+  Bytes.set t.present byte
+    (Char.chr (if on then bits lor bit else bits land lnot bit))
 
 let cursors ctx =
   let head =
@@ -57,7 +75,7 @@ let reconcile t ctx =
   let consumed = head - t.head_seen in
   if consumed >= t.cap then begin
     Array.fill t.mirror 0 t.cap (-1);
-    Hashtbl.reset t.present
+    Bytes.fill t.present 0 (Bytes.length t.present) '\000'
   end
   else
     for i = t.head_seen to head - 1 do
@@ -65,7 +83,7 @@ let reconcile t ctx =
       let tid = t.mirror.(slot) in
       if tid >= 0 then begin
         t.mirror.(slot) <- -1;
-        Hashtbl.remove t.present tid
+        set_present t tid false
       end
     done;
   t.head_seen <- head
@@ -73,7 +91,7 @@ let reconcile t ctx =
 (* Publish [tid] into the ring unless it is already there or the ring is
    full.  Returns whether a slot was written. *)
 let publish t ctx tid =
-  if Hashtbl.mem t.present tid then false
+  if published t tid then false
   else begin
     let head, tail = cursors ctx in
     if tail - head >= t.cap then false
@@ -86,9 +104,9 @@ let publish t ctx tid =
       (* A tick-program entry may still sit in this slot's mirror position
          from a previous lap; ours replaces it. *)
       (let old = t.mirror.(slot) in
-       if old >= 0 then Hashtbl.remove t.present old);
+       if old >= 0 then set_present t old false);
       t.mirror.(slot) <- tid;
-      Hashtbl.replace t.present tid ();
+      set_present t tid true;
       true
     end
   end

@@ -25,6 +25,11 @@ val publish : t -> Ghost.Abi.t -> int -> bool
 (** Publish a runnable tid into the ring unless already present or the
     ring is full.  Returns whether a slot was written. *)
 
+val published : t -> int -> bool
+(** Is the tid in the ring from an earlier {!publish}, not yet released
+    by {!reconcile}?  A local read, charged nothing: when it holds,
+    {!publish} of the tid returns [false] without touching the ring. *)
+
 val depth : Ghost.Abi.t -> int
 (** Entries currently queued in the ring (tail - head). *)
 

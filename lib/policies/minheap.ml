@@ -65,5 +65,8 @@ let pop t =
 let peek t = if t.size = 0 then None else Some (t.heap.(0).key, t.heap.(0).value)
 let clear t = t.size <- 0
 
-let to_list t =
-  List.init t.size (fun i -> (t.heap.(i).key, t.heap.(i).value))
+let iter f t =
+  for i = 0 to t.size - 1 do
+    let e = t.heap.(i) in
+    f e.key e.value
+  done

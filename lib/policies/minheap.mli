@@ -14,5 +14,6 @@ val pop : 'a t -> (int * 'a) option
 
 val peek : 'a t -> (int * 'a) option
 val clear : 'a t -> unit
-val to_list : 'a t -> (int * 'a) list
-(** Unordered snapshot. *)
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+(** [iter f t] calls [f key value] on every entry in heap-array order
+    (not sorted), allocating nothing.  [f] must not modify [t]. *)

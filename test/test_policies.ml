@@ -73,6 +73,23 @@ let test_minheap_misc () =
   Policies.Minheap.clear h;
   check_bool "cleared" true (Policies.Minheap.is_empty h)
 
+let test_minheap_iter () =
+  let h = Policies.Minheap.create () in
+  let keys = [ 5; 2; 8; 1; 9; 3 ] in
+  List.iter (fun k -> Policies.Minheap.push h ~key:k (10 * k)) keys;
+  ignore (Policies.Minheap.pop h);
+  let seen = ref [] in
+  Policies.Minheap.iter
+    (fun k v ->
+      check_int "value travels with its key" (10 * k) v;
+      seen := k :: !seen)
+    h;
+  Alcotest.(check (list int))
+    "every live entry once" [ 2; 3; 5; 8; 9 ]
+    (List.sort compare !seen);
+  check_int "heap order: the minimum comes first" 2 (List.hd (List.rev !seen));
+  check_int "iter does not remove" 5 (Policies.Minheap.length h)
+
 (* --- Msg_class ------------------------------------------------------------ *)
 
 let test_msg_class () =
@@ -196,6 +213,36 @@ let test_snap_policy_relocation () =
   check_bool "worker completed promptly" true (!wd > 0 && !wd < ms 3);
   check_bool "eviction happened" true
     ((Policies.Snap_policy.stats st).Policies.Central.be_evictions >= 1)
+
+(* An idle pass of a two-class engine owes one scan step per non-agent CPU
+   in the fill phase and one more in the donate phase, even though the host
+   makes none of those probes when nothing is queued.  With [min_iteration]
+   and [idle_gap] at 0 a pass lasts exactly what it charges, so the pass
+   count over a window of 1000 such passes pins the charge. *)
+let test_idle_pass_scan_charge () =
+  let n = 8 in
+  let k, sys = setup n in
+  let e = System.create_enclave sys ~cpus:(Kernel.full_mask k) () in
+  let eng, pol =
+    Policies.Dsl.Centralized.make ~name:"idle-charge" ~nclasses:2
+      ~donate_idle:true ~evict_lower:true ~timeslice:(us 30) ()
+  in
+  let g = Agent.attach_global sys e ~min_iteration:0 ~idle_gap:0 pol in
+  let passes_in_1000 ~cost =
+    Kernel.run_until k (Kernel.now k + (10 * cost));
+    let before = Agent.iterations g in
+    Kernel.run_until k (Kernel.now k + (1000 * cost));
+    Agent.iterations g - before
+  in
+  let step = Agent.scan_step_cost in
+  Kernel.run_until k (us 20);
+  check_int "fill + donate probes"
+    1000
+    (passes_in_1000 ~cost:(Agent.base_pass_cost + (2 * (n - 1) * step)));
+  Policies.Dsl.Centralized.set_donate_max eng (Some 0);
+  check_int "fill probes only once donation stops"
+    1000
+    (passes_in_1000 ~cost:(Agent.base_pass_cost + ((n - 1) * step)))
 
 (* --- Search policy ---------------------------------------------------------- *)
 
@@ -424,6 +471,7 @@ let () =
         [
           Alcotest.test_case "fifo ties" `Quick test_minheap_fifo_ties;
           Alcotest.test_case "misc ops" `Quick test_minheap_misc;
+          Alcotest.test_case "iter" `Quick test_minheap_iter;
         ] );
       ("msg-class", [ Alcotest.test_case "mapping" `Quick test_msg_class ]);
       ( "central",
@@ -432,6 +480,8 @@ let () =
           Alcotest.test_case "no be scheduling" `Quick test_central_no_be_scheduling;
           Alcotest.test_case "shinjuku timeslice" `Quick test_shinjuku_timeslice;
           Alcotest.test_case "snap relocation" `Quick test_snap_policy_relocation;
+          Alcotest.test_case "idle pass scan charge" `Quick
+            test_idle_pass_scan_charge;
         ] );
       ( "search",
         [
