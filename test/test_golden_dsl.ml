@@ -1,4 +1,5 @@
-(* Golden report digests for the centralized DSL template.
+(* Golden report digests for the centralized DSL template and the fleet
+   lane merge.
 
    Every case runs a short deterministic scenario and pins a Marshal
    digest of its whole report (reports are closure-free plain data), so
@@ -6,7 +7,9 @@
    ring write reordered — changes a digest.  The cases cover every
    registered policy's smoke run plus an open-loop + batch serving run of
    each centralized parameterization, with and without the BPF fastpath,
-   on a uniform and a P/E hybrid machine.
+   on a uniform and a P/E hybrid machine.  Eight-machine cluster runs
+   with dispatch RPCs, gossip and the fleet controller crossing lanes pin
+   the merge's (time, lane, seq) order.
 
    Re-bless, only after a change that is meant to alter simulated
    behaviour:
@@ -61,6 +64,37 @@ let serving spec (m : Hw.Machines.t) =
       ]
     (Printf.sprintf "golden-%s@%s" spec m.Hw.Machines.name)
 
+(* Eight machines under per-CPU and centralized agents.  Every machine
+   gossips its depth each 250 us and the controller reweights each 500 us,
+   so cross-lane posts from many lanes land at equal times on the
+   coordinator lane, and the dispatch RPCs into the machines are routed
+   by the controller's weights or by the static cycle. *)
+let fleet_policies = [ "fifo-percpu"; "shinjuku" ]
+
+let routings =
+  [ ("weighted", Cluster.Balancer.Weighted);
+    ("round-robin", Cluster.Balancer.Round_robin) ]
+
+let fleet policy routing name =
+  let machines =
+    Array.init 8 (fun i ->
+        Scenario.make ~seed:(20 + i) ~warmup_ns:(ms 1) ~measure_ns:(ms 4)
+          ~cooldown_ns:(ms 1) ~machine:Hw.Machines.xeon_e5_1s
+          ~enclaves:
+            [
+              Scenario.enclave ~policy ~cpus:(List.init 4 Fun.id)
+                ~workloads:[] "serve";
+            ]
+          (Printf.sprintf "golden-fleet-m%d" i))
+  in
+  Cluster.make ~machines
+    ~serve:{ Cluster.Machine.enclave = "serve"; nworkers = 16 }
+    ~arrivals:
+      { Cluster.aseed = 5; rate = 400_000.0;
+        service = Sim.Dist.Exponential 50_000.0 }
+    ~routing ~gossip_period_ns:(Sim.Units.us 250)
+    ~control_period_ns:(Sim.Units.us 500) name
+
 let cases () =
   List.map (fun (name, r) -> ("smoke-" ^ name, digest_of r)) (Scenario.smoke ())
   @ List.concat_map
@@ -71,6 +105,14 @@ let cases () =
               digest_of (Scenario.run (serving spec m)) ))
           serving_specs)
       machines
+  @ List.concat_map
+      (fun policy ->
+        List.map
+          (fun (rname, routing) ->
+            let name = Printf.sprintf "fleet-%s-%s" policy rname in
+            (name, digest_of (Cluster.run (fleet policy routing name))))
+          routings)
+      fleet_policies
 
 let golden =
   [
@@ -103,6 +145,10 @@ let golden =
     ("hybrid-edf?fastpath=true@hybrid-1s", "532bf34ad58eb543eb5ded31347ff090");
     ("adaptive@hybrid-1s", "fc16bfd893257256880e0ec24c84bca5");
     ("snap@hybrid-1s", "55c488cd4c15107db2d24a96c49b2de0");
+    ("fleet-fifo-percpu-weighted", "9f1ecbc0cf4a6bef1224988e4bfedee1");
+    ("fleet-fifo-percpu-round-robin", "a9f22e8640ba65083fd13af870d4fc29");
+    ("fleet-shinjuku-weighted", "261f004521ace1d9ca39347fed4e8040");
+    ("fleet-shinjuku-round-robin", "7ba7589e196416a1604ec94093fac0e4");
   ]
 
 let test_digests () =
