@@ -25,25 +25,31 @@ let next_time e = Eventq.next_time e.events
    that may not be armed — no [Some] box per re-arm on hot paths. *)
 let nil_handle : handle = Heapq.nil
 
+(* Remove the earliest event due by [bound] and account it as fired; the
+   caller runs [fn].  One pass per event: [pop_cell_until] folds the bound
+   check into the pop, where peek-then-pop normalised the queue twice, and
+   the sentinel protocol keeps it allocation-free.  Taking apart from
+   firing lets the lane merge set its global clock between the two. *)
+let[@inline] take_until e bound =
+  let c = Eventq.pop_cell_until e.events ~horizon:bound in
+  if c != Heapq.nil then begin
+    e.clock <- c.Heapq.time;
+    e.fired <- e.fired + 1
+  end;
+  c
+
 let step e =
-  let c = Eventq.pop_cell e.events in
+  let c = take_until e max_int in
   if c == Heapq.nil then false
   else begin
-    e.clock <- c.Heapq.time;
-    e.fired <- e.fired + 1;
     c.Heapq.fn ();
     true
   end
 
-(* Single pass per event: [pop_cell_until] folds the horizon check into the
-   pop, where peek-then-step normalised the queue twice, and the sentinel
-   protocol makes the whole loop allocation-free. *)
 let run_until e horizon =
   let rec loop () =
-    let c = Eventq.pop_cell_until e.events ~horizon in
+    let c = take_until e horizon in
     if c != Heapq.nil then begin
-      e.clock <- c.Heapq.time;
-      e.fired <- e.fired + 1;
       c.Heapq.fn ();
       loop ()
     end

@@ -33,8 +33,10 @@ val pending : t -> int
 
 val next_time : t -> int
 (** Timestamp of the earliest live pending event, [max_int] when none.
-    Allocation-free (unlike peeking through an [option]); the cluster lane
-    merge polls this across all machine engines every batch. *)
+    Allocation-free (unlike peeking through an [option]).  The cluster lane
+    merge reads it only to refresh one lane's cached head time: at window
+    entry, at the end of the lane's batch, and after a cancelled head left
+    the cache stale. *)
 
 val nil_handle : handle
 (** Inert, permanently-cancelled handle; compare with [==].  Use it to
@@ -56,3 +58,11 @@ val run : ?max_events:int -> t -> unit
 
 val step : t -> bool
 (** Fire the single earliest event.  [false] when the queue is empty. *)
+
+val take_until : t -> int -> handle
+(** [take_until e bound] removes the earliest live event if its time is
+    [<= bound], advances the clock to that time and counts it as fired,
+    then returns its handle: the caller runs the handle's [fn] next.  Returns
+    {!nil_handle}, leaving the queue untouched, when no event is due by
+    [bound].  One queue pass per event; the cluster lane merge drains on
+    it so it can set its global clock before the callback runs. *)

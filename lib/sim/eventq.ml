@@ -102,8 +102,8 @@ let peek_time q =
   else if h == Heapq.nil || Heapq.earlier w h then Some w.Heapq.time
   else Some h.Heapq.time
 
-(* [peek_time] without the [option]: [max_int] when empty.  The lane merge
-   scans this across N machines per batch, so it must not allocate. *)
+(* [peek_time] without the [option]: [max_int] when empty, without
+   allocating. *)
 let next_time q =
   let w = Wheel.peek_cell q.wheel in
   let h = Heapq.peek_live_cell q.heap in

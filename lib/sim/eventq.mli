@@ -45,7 +45,7 @@ val pop_cell : t -> Heapq.cell
 val pop_cell_until : t -> horizon:int -> Heapq.cell
 (** Like {!pop_cell} but leaves the queue untouched (returning {!Heapq.nil})
     when the earliest live event is after [horizon] — the single-pass
-    primitive behind {!Engine.run_until}. *)
+    primitive behind {!Engine.take_until}. *)
 
 val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest live event as [(time, fn)], skipping
@@ -57,4 +57,4 @@ val peek_time : t -> int option
 
 val next_time : t -> int
 (** {!peek_time} without the [option]: [max_int] when no live event remains.
-    Allocation-free — the primitive the cluster lane merge scans on. *)
+    Allocation-free — behind {!Engine.next_time}. *)

@@ -12,43 +12,133 @@ let qtest = QCheck.Test.make
 
 (* --- Lanes: merge order ------------------------------------------------------- *)
 
-(* Reference semantics: firing order is a stable sort of the posted events
-   by (time, lane) — stability supplies the per-lane seq tie-break, since
-   static posts enter each lane in list order. *)
-let merge_order_property (nlanes, posts) =
+(* Random traffic against a single-queue reference.  Every fired event
+   runs the script entry its id selects: post on its own lane through
+   [Engine.post], cross-post through [Lanes.post], or cancel some event by
+   id — often another lane's, whose head may then leave the merge's cached
+   head time stale.  Empty scripts reduce this to a static post set.  Half
+   the first window's seed events bypass [Lanes.post], and the second
+   window's are posted between windows straight into the engines, as
+   setup code does.  The firing log must match one pending list fired in
+   (time, lane, per-lane post sequence) order. *)
+type op = Own of int | Cross of int * int | Cancel of int
+
+let merge_cap = 120
+let merge_t1 = 3_000
+let merge_t2 = 8_000
+
+let merge_reference nlanes posts script =
+  let pending = ref [] and seqs = Array.make nlanes 0 in
+  let next = ref 0 and log = ref [] in
+  let schedule lane time =
+    if !next < merge_cap then begin
+      pending := (time, lane, seqs.(lane), !next) :: !pending;
+      seqs.(lane) <- seqs.(lane) + 1;
+      incr next
+    end
+  in
+  let fire (time, lane, _, id) =
+    log := (time, lane, id) :: !log;
+    List.iter
+      (function
+        | Own d -> schedule lane (time + d)
+        | Cross (l, d) -> schedule (l mod nlanes) (time + d)
+        | Cancel j ->
+          let victim = (id + j) mod !next in
+          pending := List.filter (fun (_, _, _, v) -> v <> victim) !pending)
+      script.(id mod Array.length script)
+  in
+  let rec run horizon =
+    match
+      List.sort compare (List.filter (fun (t, _, _, _) -> t <= horizon) !pending)
+    with
+    | [] -> ()
+    | first :: _ ->
+      pending := List.filter (fun e -> e != first) !pending;
+      fire first;
+      run horizon
+  in
+  List.iter (fun (lane, time) -> if time < merge_t1 then schedule lane time) posts;
+  run merge_t1;
+  List.iter (fun (lane, time) -> if time >= merge_t1 then schedule lane time) posts;
+  run merge_t2;
+  List.rev !log
+
+let merge_order_property (nlanes, posts, script) =
   let engines = Array.init nlanes (fun _ -> Sim.Engine.create ()) in
   let lanes = Sim.Lanes.create engines in
-  let fired = ref [] in
-  List.iteri
-    (fun idx (lane, time) ->
-      ignore
-        (Sim.Lanes.post lanes ~lane ~time (fun () ->
-             fired := (time, lane, idx) :: !fired)))
-    posts;
-  Sim.Lanes.run_until lanes (ms 1);
-  let got = List.rev !fired in
-  let expect =
-    List.mapi (fun idx (lane, time) -> (time, lane, idx)) posts
-    |> List.stable_sort (fun (t1, l1, _) (t2, l2, _) ->
-           if t1 <> t2 then compare t1 t2 else compare l1 l2)
+  let handles = Array.make merge_cap Sim.Engine.nil_handle in
+  let lane_of = Array.make merge_cap 0 in
+  let next = ref 0 and log = ref [] in
+  let rec schedule ~direct lane time =
+    if !next < merge_cap then begin
+      let id = !next in
+      incr next;
+      lane_of.(id) <- lane;
+      let fn () = fire id lane time in
+      handles.(id) <-
+        (if direct then Sim.Engine.post engines.(lane) ~time fn
+         else Sim.Lanes.post lanes ~lane ~time fn)
+    end
+  and fire id lane time =
+    log := (time, lane, id) :: !log;
+    List.iter
+      (function
+        | Own d -> schedule ~direct:true lane (time + d)
+        | Cross (l, d) -> schedule ~direct:false (l mod nlanes) (time + d)
+        | Cancel j ->
+          let victim = (id + j) mod !next in
+          Sim.Engine.cancel engines.(lane_of.(victim)) handles.(victim))
+      script.(id mod Array.length script)
   in
-  got = expect
+  List.iteri
+    (fun i (lane, time) ->
+      if time < merge_t1 then schedule ~direct:(i mod 2 = 0) lane time)
+    posts;
+  Sim.Lanes.run_until lanes merge_t1;
+  List.iter
+    (fun (lane, time) -> if time >= merge_t1 then schedule ~direct:true lane time)
+    posts;
+  Sim.Lanes.run_until lanes merge_t2;
+  List.rev !log = merge_reference nlanes posts script
 
 let test_merge_order_qcheck =
+  (* Coarse times force plenty of same-time collisions to stress the
+     (lane, seq) tie-break. *)
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun d -> Own (d * 100)) (int_range 0 5));
+          (3, map2 (fun l d -> Cross (l, d * 100)) (int_range 0 4) (int_range 0 5));
+          (2, map (fun j -> Cancel j) (int_range 0 40));
+        ])
+  in
   let gen =
-    QCheck.(
-      pair (int_range 1 5)
-        (list_of_size
-           Gen.(int_range 0 60)
-           (pair (int_range 0 4) (int_range 0 50))))
-    |> QCheck.map_same_type (fun (nlanes, posts) ->
-           (* Clamp lanes into range; coarse times force plenty of
-              same-time collisions to stress the (lane, seq) tie-break. *)
-           ( nlanes,
-             List.map (fun (l, t) -> (l mod nlanes, t * 100)) posts ))
+    QCheck.Gen.(
+      int_range 1 5 >>= fun nlanes ->
+      triple (return nlanes)
+        (list_size (int_range 0 40)
+           (pair (int_range 0 (nlanes - 1)) (map (fun t -> t * 100) (int_range 0 59))))
+        (array_size (int_range 1 6) (list_size (int_range 0 3) op)))
+  in
+  let print (nlanes, posts, script) =
+    let show = function
+      | Own d -> Printf.sprintf "Own %d" d
+      | Cross (l, d) -> Printf.sprintf "Cross (%d, %d)" l d
+      | Cancel j -> Printf.sprintf "Cancel %d" j
+    in
+    Printf.sprintf "lanes=%d posts=[%s] script=[|%s|]" nlanes
+      (String.concat "; "
+         (List.map (fun (l, t) -> Printf.sprintf "(%d, %d)" l t) posts))
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun ops -> "[" ^ String.concat "; " (List.map show ops) ^ "]")
+               script)))
   in
   qtest ~name:"lane merge fires in single-queue reference order" ~count:300
-    gen merge_order_property
+    (QCheck.make ~print gen) merge_order_property
 
 let test_merge_cross_posts () =
   (* Events firing on one lane post into other lanes; the merge must fire
@@ -83,6 +173,27 @@ let test_merge_past_post_rejected () =
   Alcotest.check_raises "past post"
     (Invalid_argument "Lanes.post: time 499 is before global now 500")
     (fun () -> ignore (Sim.Lanes.post lanes ~lane:1 ~time:499 ignore))
+
+let test_clock_inside_callback () =
+  (* Inside a callback the global clock reads the firing event's time, so
+     relative cross-posts and the past-post check are measured from it. *)
+  let lanes = Sim.Lanes.create [| Sim.Engine.create (); Sim.Engine.create () |] in
+  let seen = ref (-1) and landed = ref (-1) and rejected = ref false in
+  ignore
+    (Sim.Lanes.post lanes ~lane:0 ~time:100 (fun () ->
+         seen := Sim.Lanes.now lanes;
+         ignore
+           (Sim.Lanes.post_in lanes ~lane:1 ~delay:10 (fun () ->
+                landed := Sim.Engine.now (Sim.Lanes.engine lanes 1)));
+         rejected :=
+           try
+             ignore (Sim.Lanes.post lanes ~lane:1 ~time:50 ignore);
+             false
+           with Invalid_argument _ -> true));
+  Sim.Lanes.run_until lanes 1_000;
+  check_int "now inside the callback" 100 !seen;
+  check_int "post_in lands after the firing time" 110 !landed;
+  check_bool "post before the firing time rejected" true !rejected
 
 let test_lane_switch_hook () =
   (* The hook fires when the draining lane changes — the cluster harness
@@ -277,6 +388,8 @@ let () =
           Alcotest.test_case "cross-post chains" `Quick test_merge_cross_posts;
           Alcotest.test_case "past post rejected" `Quick
             test_merge_past_post_rejected;
+          Alcotest.test_case "clock inside a callback" `Quick
+            test_clock_inside_callback;
           Alcotest.test_case "lane-switch hook" `Quick test_lane_switch_hook;
         ] );
       ( "balancer",
