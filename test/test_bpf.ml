@@ -171,6 +171,32 @@ let test_map_plumbing () =
   check_int "verifier_rejects counted" 1
     (System.stats sys).System.bpf_verifier_rejects
 
+(* A pick program may return any int.  One no thread has is a validation
+   miss: the CPU falls back to the agent path and nothing raises. *)
+let test_pick_unknown_tid () =
+  let k, sys = setup 2 in
+  let e = System.create_enclave sys ~cpus:(Kernel.full_mask k) () in
+  (match System.bpf_install sys e (Bpf.Kit.ring_pick ~cap:8) with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  check_bool "slot written" true
+    (System.bpf_map_update e ~map:Bpf.Kit.ring_data ~idx:0 max_int = Ok ());
+  check_bool "tail advanced" true
+    (System.bpf_map_update e ~map:Bpf.Kit.ring_meta ~idx:Bpf.Kit.meta_tail 1
+    = Ok ());
+  (* A managed thread waking with no agent leaves its CPU idle, which runs
+     the pick hook. *)
+  let t = Kernel.create_task k ~name:"w" (fun () -> Task.Exit) in
+  System.manage e t;
+  Kernel.start k t;
+  Kernel.run_until k (us 50);
+  let st = System.stats sys in
+  check_int "unknown tid counted as a miss" 1 st.System.bpf_misses;
+  check_bool "fell back to the agent path" true (st.System.bpf_fallbacks > 0);
+  check_int "nothing picked" 0 st.System.bpf_picks;
+  check_bool "ring consumed" true
+    (System.bpf_map_get e ~map:Bpf.Kit.ring_meta ~idx:Bpf.Kit.meta_head = Some 1)
+
 (* --- Bit-identity: a rejected install must not perturb the run -------------- *)
 
 let run_fifo_workload ~poke_rejected_install () =
@@ -330,7 +356,11 @@ let () =
           Alcotest.test_case "rejects table" `Quick test_verifier_rejects;
         ] );
       ("vm", [ Alcotest.test_case "execution basics" `Quick test_vm_basics ]);
-      ("maps", [ Alcotest.test_case "plumbing + bounds" `Quick test_map_plumbing ]);
+      ( "maps",
+        [
+          Alcotest.test_case "plumbing + bounds" `Quick test_map_plumbing;
+          Alcotest.test_case "pick of an unknown tid" `Quick test_pick_unknown_tid;
+        ] );
       ( "identity",
         [ Alcotest.test_case "rejected install is inert" `Quick test_no_program_bit_identity ] );
       ( "scheduling",

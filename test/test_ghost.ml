@@ -163,9 +163,17 @@ let test_commit_latches_and_runs () =
 let test_commit_enoent () =
   let k, sys = setup () in
   let e = enclave_all sys k () in
-  let txn = System.make_txn sys ~tid:4242 ~cpu:0 () in
-  direct_commit sys e ~agent_cpu:0 txn;
-  check_bool "enoent" true (txn.Txn.status = Txn.Failed Txn.Enoent);
+  (* A policy may name any int as the txn tid, including ones no table
+     could hold: each fails ENOENT without raising or latching. *)
+  List.iter
+    (fun tid ->
+      let txn = System.make_txn sys ~tid ~cpu:0 () in
+      direct_commit sys e ~agent_cpu:0 txn;
+      check_bool (Printf.sprintf "enoent (tid %d)" tid) true
+        (txn.Txn.status = Txn.Failed Txn.Enoent);
+      check_bool (Printf.sprintf "nothing latched (tid %d)" tid) true
+        (Option.is_none (System.latched sys ~cpu:0)))
+    [ 4242; -1; max_int ];
   ignore k
 
 let test_commit_affinity () =
