@@ -19,12 +19,15 @@ and group = {
   mutable orphans : Squeue.t list;
       (* per-CPU queues of removed CPUs, drained by the watcher agent *)
   agents : (int, Task.t) Hashtbl.t;
-  sws : (int, Status_word.t) Hashtbl.t;
-  cpu_queues : (int, Squeue.t) Hashtbl.t;  (* local mode *)
+      (* cpu -> agent task.  A Hashtbl, not an Idtbl: its iteration order
+         sets the order in which [stop], [crash] and [set_paused] wake or
+         kill the agents, and report digests depend on that order. *)
+  sws : Status_word.t Sim.Idtbl.t;  (* cpu -> agent status word *)
+  cpu_queues : Squeue.t Sim.Idtbl.t;  (* local mode *)
   min_iteration : int;
   idle_gap : int;  (* polling pause after a pass that did nothing *)
   mutable gcpu : int;  (* global agent's CPU; -1 in local mode *)
-  poked : (int, unit) Hashtbl.t;  (* cpus owed a pass despite empty queues *)
+  poked : unit Sim.Idtbl.t;  (* cpus owed a pass despite empty queues *)
   mutable iters : int;
   mutable stopped : bool;
   mutable attached : bool;
@@ -61,7 +64,7 @@ let rng ctx = Kernel.rng ctx.group.kern
 let charge ctx ns = ctx.charged <- ctx.charged + max 0 ns
 let charge_scan ctx n = charge ctx (n * scan_step_cost)
 
-let sw_of g cpu = Hashtbl.find g.sws cpu
+let sw_of g cpu = Sim.Idtbl.find g.sws cpu
 let aseq ctx = Status_word.seq (sw_of ctx.group ctx.cur_cpu)
 
 let make_txn ctx ~tid ~target ~with_aseq ?thread_seq () =
@@ -101,7 +104,7 @@ let wire_wakeup g q ~wake_cpu =
                 (* The wakeup also owes the agent a pass even if its standard
                    queues are empty — the message may sit on a policy-created
                    extra queue the runtime does not know about. *)
-                Hashtbl.replace g.poked wake_cpu ();
+                Sim.Idtbl.replace g.poked wake_cpu ();
                 match Hashtbl.find_opt g.agents wake_cpu with
                 | Some agent -> Kernel.wake g.kern agent
                 | None -> ()))))
@@ -116,12 +119,12 @@ let associate_queue ctx task q =
   charge ctx (Kernel.costs ctx.group.kern).Hw.Costs.syscall;
   System.associate_queue ctx.group.enc task q
 
-let queue_of_cpu ctx c = Hashtbl.find_opt ctx.group.cpu_queues c
+let queue_of_cpu ctx c = Sim.Idtbl.find_opt ctx.group.cpu_queues c
 
 let poke ctx target =
   let g = ctx.group in
   charge ctx (Kernel.costs g.kern).Hw.Costs.syscall;
-  Hashtbl.replace g.poked target ();
+  Sim.Idtbl.replace g.poked target ();
   match Hashtbl.find_opt g.agents target with
   | Some agent -> Kernel.wake g.kern agent
   | None -> ()
@@ -327,7 +330,7 @@ and global_pass g cpu =
 
 let local_queues g cpu =
   let own =
-    match Hashtbl.find_opt g.cpu_queues cpu with Some q -> [ q ] | None -> []
+    match Sim.Idtbl.find_opt g.cpu_queues cpu with Some q -> [ q ] | None -> []
   in
   (* The first CPU's agent also watches the enclave default queue, where
      newly managed threads announce themselves before the policy associates
@@ -344,8 +347,8 @@ let rec local_behavior g cpu () =
   else begin
     let queues = local_queues g cpu in
     let pending = List.exists (fun q -> Squeue.length q > 0) queues in
-    let poked = Hashtbl.mem g.poked cpu in
-    if poked then Hashtbl.remove g.poked cpu;
+    let poked = Sim.Idtbl.mem g.poked cpu in
+    if poked then Sim.Idtbl.remove g.poked cpu;
     if (not pending) && not poked then Task.Block { after = local_behavior g cpu }
     else run_pass g ~cpu ~queues ~after_apply:(fun () -> local_behavior g cpu ())
   end
@@ -355,7 +358,7 @@ let rec local_behavior g cpu () =
 let spawn_one g behavior cpu =
   let ncpus = Kernel.ncpus g.kern in
   let sw = Status_word.create () in
-  Hashtbl.replace g.sws cpu sw;
+  Sim.Idtbl.replace g.sws cpu sw;
   let task =
     Kernel.create_task g.kern ~policy:Task.Rt ~rt_prio:99
       ~affinity:(Cpumask.singleton ~ncpus cpu)
@@ -377,8 +380,8 @@ let retire_agent g cpu =
   | None -> ()
   | Some task ->
     Hashtbl.remove g.agents cpu;
-    Hashtbl.remove g.sws cpu;
-    Hashtbl.remove g.poked cpu;
+    Sim.Idtbl.remove g.sws cpu;
+    Sim.Idtbl.remove g.poked cpu;
     System.unregister_agent g.enc task;
     ignore
       (Sim.Engine.post_in (Kernel.engine g.kern) ~delay:0 (fun () ->
@@ -417,11 +420,11 @@ let on_resize_local g = function
       spawn_one g (fun cpu -> local_behavior g cpu) cpu;
       Kernel.start g.kern (Hashtbl.find g.agents cpu);
       let q = System.create_queue g.enc ~capacity:4096 in
-      Hashtbl.replace g.cpu_queues cpu q;
+      Sim.Idtbl.replace g.cpu_queues cpu q;
       System.associate_cpu_queue g.enc ~cpu q;
       wire_wakeup g q ~wake_cpu:cpu;
       g.pol.on_cpu_added (get_abi g) cpu;
-      Hashtbl.replace g.poked cpu ();
+      Sim.Idtbl.replace g.poked cpu ();
       wake_agent g cpu
     end
   | System.Cpu_removed cpu ->
@@ -430,9 +433,9 @@ let on_resize_local g = function
         match g.cpu_list with first :: _ -> first = cpu | [] -> false
       in
       g.cpu_list <- List.filter (fun c -> c <> cpu) g.cpu_list;
-      (match Hashtbl.find_opt g.cpu_queues cpu with
+      (match Sim.Idtbl.find_opt g.cpu_queues cpu with
       | Some q ->
-        Hashtbl.remove g.cpu_queues cpu;
+        Sim.Idtbl.remove g.cpu_queues cpu;
         g.orphans <- g.orphans @ [ q ]
       | None -> ());
       retire_agent g cpu;
@@ -453,7 +456,7 @@ let on_resize_local g = function
           wire_wakeup g dq ~wake_cpu:head
         end;
         g.pol.on_cpu_removed (get_abi g) cpu;
-        Hashtbl.replace g.poked head ();
+        Sim.Idtbl.replace g.poked head ();
         wake_agent g head)
     end
 
@@ -469,12 +472,12 @@ let make_group sys enc ~mode ~min_iteration ?(idle_gap = 1_000) pol =
     cpu_list;
     orphans = [];
     agents = Hashtbl.create 16;
-    sws = Hashtbl.create 16;
-    cpu_queues = Hashtbl.create 16;
+    sws = Sim.Idtbl.create ();
+    cpu_queues = Sim.Idtbl.create ();
     min_iteration;
     idle_gap = max min_iteration idle_gap;
     gcpu = (match mode with Global -> List.hd cpu_list | Local -> -1);
-    poked = Hashtbl.create 16;
+    poked = Sim.Idtbl.create ();
     iters = 0;
     stopped = false;
     attached = false;
@@ -507,7 +510,7 @@ let attach_local sys enc pol =
   List.iter
     (fun cpu ->
       let q = System.create_queue enc ~capacity:4096 in
-      Hashtbl.replace g.cpu_queues cpu q;
+      Sim.Idtbl.replace g.cpu_queues cpu q;
       System.associate_cpu_queue enc ~cpu q;
       wire_wakeup g q ~wake_cpu:cpu)
     g.cpu_list;
@@ -523,7 +526,7 @@ let attach_local sys enc pol =
      may have rebuilt runqueues with no message traffic to trigger them. *)
   List.iter
     (fun cpu ->
-      Hashtbl.replace g.poked cpu ();
+      Sim.Idtbl.replace g.poked cpu ();
       Kernel.wake g.kern (Hashtbl.find g.agents cpu))
     g.cpu_list;
   g
@@ -563,7 +566,7 @@ let set_paused g flag =
       (* Resuming agents owe a pass: queues may have filled while hung. *)
       Hashtbl.iter
         (fun cpu (task : Task.t) ->
-          Hashtbl.replace g.poked cpu ();
+          Sim.Idtbl.replace g.poked cpu ();
           Kernel.wake g.kern task)
         g.agents
   end

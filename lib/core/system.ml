@@ -64,7 +64,7 @@ and t = {
   mutable enclaves : enclave list;
   owner : enclave option array;  (* cpu -> enclave *)
   latched_slots : Task.t option array;
-  tstates : (int, tstate) Hashtbl.t;
+  tstates : tstate Sim.Idtbl.t;  (* tid -> state of a managed thread *)
   mutable next_qid : int;
   mutable next_eid : int;
   mutable next_txn : int;
@@ -87,7 +87,7 @@ let enclave_msg_drops e = e.msg_drops
 let enclave_dropped e =
   List.fold_left (fun acc q -> acc + Squeue.dropped q) 0 e.queues
 
-let tstate_of t (task : Task.t) = Hashtbl.find_opt t.tstates task.tid
+let tstate_of t (task : Task.t) = Sim.Idtbl.find_opt t.tstates task.tid
 let is_managed t task = tstate_of t task <> None
 
 let status_word t task =
@@ -203,7 +203,7 @@ let make_bpf_snapshot t e =
     cpu >= 0 && cpu < Kernel.ncpus k && Cpumask.mem e.cpus cpu
   in
   let ts_of tid =
-    match Hashtbl.find_opt t.tstates tid with
+    match Sim.Idtbl.find_opt t.tstates tid with
     | Some ts when ts.enclave == e -> Some ts
     | Some _ | None -> None
   in
@@ -433,7 +433,7 @@ let class_pick t ~cpu ~filter =
                 None
               end
               else begin
-                match Hashtbl.find_opt t.tstates r with
+                match Sim.Idtbl.find_opt t.tstates r with
                 | Some ts
                   when ts.enclave == e && bpf_ok t cpu ts.task && filter ts.task
                   ->
@@ -507,7 +507,7 @@ let class_on_dead t ~cpu (task : Task.t) =
       post_thread_msg t e ts Msg.THREAD_DEAD ~cpu ~write:(fun sw ->
           Status_word.set_on_cpu sw false;
           Status_word.set_runnable sw false));
-    Hashtbl.remove t.tstates task.Task.tid;
+    Sim.Idtbl.remove t.tstates task.Task.tid;
     ts.enclave.managed_cache <- None
 
 let class_on_affinity t (task : Task.t) =
@@ -596,10 +596,10 @@ let managed_threads e =
   | Some threads -> threads
   | None ->
     let threads =
-      Hashtbl.fold
+      Sim.Idtbl.fold
         (fun _ ts acc -> if ts.enclave == e then ts.task :: acc else acc)
         e.sys.tstates []
-      |> List.sort (fun (a : Task.t) b -> compare a.tid b.tid)
+      |> List.rev
     in
     e.managed_cache <- Some threads;
     threads
@@ -618,7 +618,7 @@ let manage e (task : Task.t) =
       enclave = e;
     }
   in
-  Hashtbl.add e.sys.tstates task.Task.tid ts;
+  Sim.Idtbl.replace e.sys.tstates task.Task.tid ts;
   e.managed_cache <- None;
   (match task.Task.state with
   | Task.Blocked ->
@@ -638,7 +638,7 @@ let unmanage t (task : Task.t) =
       t.latched_slots.(cpu) <- None;
       ts.latched_on <- None
     | None -> ());
-    Hashtbl.remove t.tstates task.Task.tid;
+    Sim.Idtbl.remove t.tstates task.Task.tid;
     ts.enclave.managed_cache <- None;
     if task.Task.state <> Task.Dead then Kernel.set_policy t.kernel task Task.Cfs
 
@@ -708,8 +708,10 @@ let watchdog_check t e timeout =
     && ts.latched_on = None
     && now - ts.task.Task.runnable_since > timeout
   in
+  (* The lowest-tid starving thread is named.  Only the log line and the
+     sink's watchdog-fire instant carry it; no report does. *)
   let victim =
-    Hashtbl.fold
+    Sim.Idtbl.fold
       (fun _ ts acc ->
         if acc = None && ts.enclave == e && starving ts then Some ts.task
         else acc)
@@ -893,7 +895,7 @@ let validate t e ~agent_sw (txn : Txn.t) =
     then Some Txn.Estale
     else Some Txn.Enoent
   else begin
-    match Hashtbl.find_opt t.tstates txn.tid with
+    match Sim.Idtbl.find_opt t.tstates txn.tid with
     | None -> Some Txn.Enoent
     | Some ts ->
       if ts.enclave != e then Some Txn.Enoent
@@ -924,7 +926,7 @@ let validate t e ~agent_sw (txn : Txn.t) =
   end
 
 let apply_latch t e (txn : Txn.t) =
-  let ts = Hashtbl.find t.tstates txn.tid in
+  let ts = Sim.Idtbl.find t.tstates txn.tid in
   let cpu = txn.Txn.target_cpu in
   (* Displace a previously latched thread: it goes back to the agent with a
      THREAD_PREEMPTED message. *)
@@ -1085,7 +1087,7 @@ let install kernel =
       enclaves = [];
       owner = Array.make ncpus None;
       latched_slots = Array.make ncpus None;
-      tstates = Hashtbl.create 1024;
+      tstates = Sim.Idtbl.create ();
       next_qid = 1;
       next_eid = 1;
       next_txn = 1;

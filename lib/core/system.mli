@@ -126,8 +126,9 @@ val unmanage : t -> Kernel.Task.t -> unit
 (** Hand the thread back to CFS. *)
 
 val managed_threads : enclave -> Kernel.Task.t list
-(** All live threads in the enclave — what a replacement agent reads to
-    rebuild its state after an in-place upgrade (§3.4). *)
+(** All live threads in the enclave, in ascending tid order — what a
+    replacement agent reads to rebuild its state after an in-place upgrade
+    (§3.4). *)
 
 val status_word : t -> Kernel.Task.t -> Status_word.t option
 val thread_seq : t -> Kernel.Task.t -> int option

@@ -42,7 +42,7 @@ type t = {
   queued : int array;
       (* per-CPU runnable count aggregated over tracking classes, maintained
          through [env.note_queued] so idle checks are O(1) *)
-  tasks : (int, Task.t) Hashtbl.t;
+  tasks : Task.t Sim.Idtbl.t;  (* tids are handed out densely from [next_tid] *)
   mutable next_tid : int;
   mutable tick_listeners : (int -> unit) array;
   mutable n_tick_listeners : int;
@@ -412,7 +412,7 @@ and advance t cs (task : Task.t) =
     cs.curr <- None;
     cs.idle_since <- now t;
     (class_of t task).on_dead ~cpu:cs.cid task;
-    Hashtbl.remove t.tasks task.tid;
+    Sim.Idtbl.remove t.tasks task.tid;
     schedule t cs.cid
 
 (* --- Task lifecycle ------------------------------------------------------- *)
@@ -435,7 +435,7 @@ let create_task t ?(policy = Task.Cfs) ?(nice = 0) ?(rt_prio = 0) ?(cookie = 0)
   let task = Task.make ~tid ~name ~policy ~nice ~affinity cont in
   task.rt_prio <- rt_prio;
   task.cookie <- cookie;
-  Hashtbl.add t.tasks tid task;
+  Sim.Idtbl.replace t.tasks tid task;
   task
 
 let start t (task : Task.t) =
@@ -473,7 +473,7 @@ let kill t (task : Task.t) =
   | Task.Created | Task.Blocked ->
     task.state <- Task.Dead;
     (class_of t task).on_dead ~cpu:(max task.cpu 0) task);
-  Hashtbl.remove t.tasks task.tid
+  Sim.Idtbl.remove t.tasks task.tid
 
 let set_affinity t (task : Task.t) mask =
   if Cpumask.is_empty mask then invalid_arg "Kernel.set_affinity: empty mask";
@@ -508,8 +508,8 @@ let set_policy t (task : Task.t) policy =
     | Task.Created | Task.Blocked | Task.Dead -> ()
   end
 
-let task_by_tid t tid = Hashtbl.find_opt t.tasks tid
-let tasks t = Hashtbl.fold (fun _ task acc -> task :: acc) t.tasks []
+let task_by_tid t tid = Sim.Idtbl.find_opt t.tasks tid
+let tasks t = List.rev (Sim.Idtbl.fold (fun _ task acc -> task :: acc) t.tasks [])
 
 let send_ipi t ~target ~wire ~handle fn =
   t.stats.ipis <- t.stats.ipis + 1;
@@ -622,7 +622,7 @@ let create ?(core_sched = false) ?(seed = 42) machine =
       by_policy = Array.make 4 None;  (* one slot per Task.policy_rank *)
       scan_classes = [];
       queued = Array.make ncpus 0;
-      tasks = Hashtbl.create 256;
+      tasks = Sim.Idtbl.create ();
       next_tid = 1;
       tick_listeners = [||];
       n_tick_listeners = 0;

@@ -94,7 +94,11 @@ val set_policy : t -> Task.t -> Task.policy -> unit
     sends all managed threads back to CFS, §3.4). *)
 
 val task_by_tid : t -> int -> Task.t option
+(** [None] for any tid no live task has, negative or huge ones included. *)
+
 val tasks : t -> Task.t list
+(** Every live task (created and not yet exited or killed), in ascending
+    tid order. *)
 
 (** {1 CPU state} *)
 

@@ -132,7 +132,7 @@ let policy ?(config = default_config) ~is_lc () =
     Dsl.Centralized.make ~name:"adaptive" ~nclasses:2
       ~classify:(fun _ task -> if is_lc task then 0 else 1)
       ~timeslice:config.timeslice ~donate_idle:true ~evict_lower:true
-      ~msg_charge:25 ~assign_charge:40 ~rq_size:512 ()
+      ~msg_charge:25 ~assign_charge:40 ()
   in
   let t =
     {

@@ -31,4 +31,4 @@ let policy ~classify ?timeslice ?(schedule_be = true) ?(fastpath = false) () =
   Dsl.Centralized.make ~name:"central-two-class" ~nclasses:2
     ~classify:(fun _ task -> match classify task with Lc -> 0 | Be -> 1)
     ?timeslice ~donate_idle:schedule_be ~evict_lower:true ~fastpath
-    ~wakeup_gated:true ~msg_charge:25 ~assign_charge:40 ~rq_size:512 ()
+    ~wakeup_gated:true ~msg_charge:25 ~assign_charge:40 ()

@@ -99,7 +99,7 @@ end
    re-pushed after a drop may briefly appear twice, the duplicate commit
    fails EBUSY and is requeued, exactly the pre-DSL behavior. *)
 module Rq = struct
-  type dedup = (int, unit) Hashtbl.t
+  type dedup = unit Sim.Idtbl.t
 
   type order =
     | Fifo
@@ -113,23 +113,21 @@ module Rq = struct
     validate : Abi.t -> Task.t -> bool;
   }
 
-  let make ?(size = 256) ?dedup ?validate order =
+  let make ?dedup ?validate order =
     {
       order;
       fifo = Queue.create ();
       heap = Minheap.create ();
-      queued = (match dedup with Some d -> d | None -> Hashtbl.create size);
+      queued = (match dedup with Some d -> d | None -> Sim.Idtbl.create ());
       validate =
         (match validate with
         | Some v -> v
         | None -> fun _ task -> Task.is_runnable task);
     }
 
-  let fifo ?size ?dedup ?validate () = make ?size ?dedup ?validate Fifo
-  let least ?size ?dedup ?validate key = make ?size ?dedup ?validate (Least key)
-
-  let edf ?size ?dedup ?validate deadline =
-    least ?size ?dedup ?validate deadline
+  let fifo ?dedup ?validate () = make ?dedup ?validate Fifo
+  let least ?dedup ?validate key = make ?dedup ?validate (Least key)
+  let edf ?dedup ?validate deadline = least ?dedup ?validate deadline
 
   let length t =
     match t.order with
@@ -145,7 +143,7 @@ module Rq = struct
     | Fifo -> Queue.iter f t.fifo
     | Least _ -> Minheap.iter (fun _ tid -> f tid) t.heap
 
-  let mem t tid = Hashtbl.mem t.queued tid
+  let mem t tid = Sim.Idtbl.mem t.queued tid
 
   (* Raw enqueue: no dedup check (the caller did it, e.g. {!Buckets}). *)
   let enqueue t tid =
@@ -156,20 +154,20 @@ module Rq = struct
   let push t ctx tid =
     match t.order with
     | Fifo ->
-      if not (Hashtbl.mem t.queued tid) then begin
-        Hashtbl.replace t.queued tid ();
+      if not (Sim.Idtbl.mem t.queued tid) then begin
+        Sim.Idtbl.replace t.queued tid ();
         Queue.push tid t.fifo
       end
     | Least key ->
-      if not (Hashtbl.mem t.queued tid) then begin
+      if not (Sim.Idtbl.mem t.queued tid) then begin
         match Abi.task_by_tid ctx tid with
         | Some task ->
-          Hashtbl.replace t.queued tid ();
+          Sim.Idtbl.replace t.queued tid ();
           Minheap.push t.heap ~key:(key ctx task) tid
         | None -> ()
       end
 
-  let drop t tid = Hashtbl.remove t.queued tid
+  let drop t tid = Sim.Idtbl.remove t.queued tid
 
   let rec pop t ctx =
     let next =
@@ -186,7 +184,7 @@ module Rq = struct
     match next with
     | None -> None
     | Some tid -> (
-      Hashtbl.remove t.queued tid;
+      Sim.Idtbl.remove t.queued tid;
       match Abi.task_by_tid ctx tid with
       | Some task when t.validate ctx task -> Some task
       | Some _ | None -> pop t ctx)
@@ -208,22 +206,24 @@ end
 (* --- Running-interval bookkeeping (timeslice rotation) ----------------------- *)
 
 module Running = struct
-  type t = (int, int * int) Hashtbl.t  (* tid -> (cpu, started_at) *)
+  type t = (int * int) Sim.Idtbl.t  (* tid -> (cpu, started_at) *)
 
-  let create () = Hashtbl.create 64
-  let note t tid ~cpu ~at = Hashtbl.replace t tid (cpu, at)
-  let forget t tid = Hashtbl.remove t tid
+  let create () = Sim.Idtbl.create ()
+  let note t tid ~cpu ~at = Sim.Idtbl.replace t tid (cpu, at)
+  let forget t tid = Sim.Idtbl.remove t tid
 
   let over_slice t tid ~cpu ~now ~slice =
-    match Hashtbl.find_opt t tid with
+    match Sim.Idtbl.find_opt t tid with
     | Some (c, start) -> c = cpu && now - start >= slice
     | None -> false
 
   let forget_cpu t cpu =
     let stale =
-      Hashtbl.fold (fun tid (c, _) acc -> if c = cpu then tid :: acc else acc) t []
+      Sim.Idtbl.fold
+        (fun tid (c, _) acc -> if c = cpu then tid :: acc else acc)
+        t []
     in
-    List.iter (Hashtbl.remove t) stale
+    List.iter (Sim.Idtbl.remove t) stale
 end
 
 (* --- Keyed bucket queues ------------------------------------------------------ *)
@@ -235,20 +235,22 @@ end
 module Buckets = struct
   type t = {
     tbl : (int, Rq.t) Hashtbl.t;
+        (* A Hashtbl, not an Idtbl: its fold order breaks ties between
+           equally loaded victims in [Percpu.try_steal], so it must stay
+           the order a 16-bucket Hashtbl gives. *)
     queued : Rq.dedup;
     bucket_of : Task.t -> int;
     mk : int -> Rq.t;
   }
 
-  let create ?(size = 16) ?(dedup_size = 256) ?validate
-      ?(bucket_of = fun _ -> 0) () =
-    let queued = Hashtbl.create dedup_size in
+  let create ?validate ?(bucket_of = fun _ -> 0) () =
+    let queued = Sim.Idtbl.create () in
     let mk k =
       match validate with
       | None -> Rq.fifo ~dedup:queued ()
       | Some v -> Rq.fifo ~dedup:queued ~validate:(v k) ()
     in
-    { tbl = Hashtbl.create size; queued; bucket_of; mk }
+    { tbl = Hashtbl.create 16; queued; bucket_of; mk }
 
   let bucket t k =
     match Hashtbl.find_opt t.tbl k with
@@ -260,25 +262,25 @@ module Buckets = struct
 
   let push_to t k tid =
     (* Dedup first, bucket creation only when actually enqueueing. *)
-    if not (Hashtbl.mem t.queued tid) then begin
-      Hashtbl.replace t.queued tid ();
+    if not (Sim.Idtbl.mem t.queued tid) then begin
+      Sim.Idtbl.replace t.queued tid ();
       Rq.enqueue (bucket t k) tid
     end
 
   let push_auto t ctx tid =
     (* Route by the task's own key ([bucket_of]); unknown tids are ignored. *)
-    if not (Hashtbl.mem t.queued tid) then begin
+    if not (Sim.Idtbl.mem t.queued tid) then begin
       match Abi.task_by_tid ctx tid with
       | Some task ->
-        Hashtbl.replace t.queued tid ();
+        Sim.Idtbl.replace t.queued tid ();
         Rq.enqueue (bucket t (t.bucket_of task)) tid
       | None -> ()
     end
 
   let pop t ctx k = Rq.pop (bucket t k) ctx
   let len t k = Rq.length (bucket t k)
-  let drop t tid = Hashtbl.remove t.queued tid
-  let queued_mem t tid = Hashtbl.mem t.queued tid
+  let drop t tid = Sim.Idtbl.remove t.queued tid
+  let queued_mem t tid = Sim.Idtbl.mem t.queued tid
   let fold f t acc = Hashtbl.fold f t.tbl acc
 
   let take t k =
@@ -351,7 +353,7 @@ module Centralized = struct
     cpu_rank : Abi.t -> int list -> int list;
     donate_rank : Abi.t -> int list -> int list;
     queues : Rq.t array;
-    cls_of : (int, int) Hashtbl.t;
+    cls_of : int Sim.Idtbl.t;
     (* Pass state reused across passes, so a pass allocates none of it:
        [assigned.(cpu) = pass] marks a CPU committed during the current
        pass (sized at the first pass), and [base_cpus] is the enclave's
@@ -397,13 +399,13 @@ module Centralized = struct
       Fastpath.set_slice ctx (match slice with Some s -> s | None -> 0)
 
   let class_of t ctx tid =
-    match Hashtbl.find_opt t.cls_of tid with
+    match Sim.Idtbl.find_opt t.cls_of tid with
     | Some c -> c
     | None -> (
       match Abi.task_by_tid ctx tid with
       | Some task ->
         let c = t.classify ctx task in
-        Hashtbl.replace t.cls_of tid c;
+        Sim.Idtbl.replace t.cls_of tid c;
         (* Only class-0 threads may take the expedited wakeup placement;
            the rest wait for an agent pass (collisions in the hashed map
            can let one through — a valid placement, just undeserved). *)
@@ -434,7 +436,7 @@ module Centralized = struct
         | Msg_class.Died tid ->
           Running.forget t.running tid;
           Array.iter (fun q -> Rq.drop q tid) t.queues;
-          Hashtbl.remove t.cls_of tid
+          Sim.Idtbl.remove t.cls_of tid
         | Msg_class.Affinity_changed _ | Msg_class.Tick _
         | Msg_class.Cpu_available _ | Msg_class.Cpu_taken _ -> ())
       msgs
@@ -609,7 +611,7 @@ module Centralized = struct
   let make ~name ?(nclasses = 1) ?(classify = fun _ _ -> 0) ?timeslice
       ?(donate_idle = false) ?(evict_lower = false) ?(fastpath = false)
       ?(wakeup_gated = false) ?(msg_charge = 25) ?(assign_charge = 40)
-      ?(track_assigned = true) ?(forget_on_preempt = false) ?(rq_size = 512)
+      ?(track_assigned = true) ?(forget_on_preempt = false)
       ?(queue_order = fun _ -> Rq.Fifo) ?(cpu_rank = fun _ cpus -> cpus)
       ?(donate_rank = fun _ cpus -> cpus) () =
     if nclasses < 1 then invalid_arg "Dsl.Centralized.make: nclasses < 1";
@@ -626,8 +628,8 @@ module Centralized = struct
         forget_on_preempt;
         cpu_rank;
         donate_rank;
-        queues = Array.init nclasses (fun c -> Rq.make ~size:rq_size (queue_order c));
-        cls_of = Hashtbl.create 512;
+        queues = Array.init nclasses (fun c -> Rq.make (queue_order c));
+        cls_of = Sim.Idtbl.create ();
         pass = 0;
         assigned = [||];
         base_src = [];
@@ -698,7 +700,7 @@ module Percpu = struct
     assign_charge : int;
     steal_min : int;  (* only steal from queues at least this deep *)
     runqs : Buckets.t;  (* cpu -> tids *)
-    home : (int, int) Hashtbl.t;  (* tid -> cpu *)
+    home : int Sim.Idtbl.t;  (* tid -> cpu *)
     mutable next_home : int;
     stats : stats;
   }
@@ -712,7 +714,7 @@ module Percpu = struct
     let n = List.length cpus in
     let home = List.nth cpus (t.next_home mod n) in
     t.next_home <- t.next_home + 1;
-    Hashtbl.replace t.home tid home;
+    Sim.Idtbl.replace t.home tid home;
     (match (Abi.task_by_tid ctx tid, Abi.queue_of_cpu ctx home) with
     | Some task, Some q -> (
       match Abi.associate_queue ctx task q with
@@ -725,7 +727,7 @@ module Percpu = struct
     home
 
   let home_of t ctx tid =
-    match Hashtbl.find_opt t.home tid with
+    match Sim.Idtbl.find_opt t.home tid with
     | Some cpu -> cpu
     | None -> place_new t ctx tid
 
@@ -759,7 +761,7 @@ module Percpu = struct
           match Abi.associate_queue ctx task q with
           | Ok () ->
             t.stats.steals <- t.stats.steals + 1;
-            Hashtbl.replace t.home task.Task.tid cpu;
+            Sim.Idtbl.replace t.home task.Task.tid cpu;
             Some task
           | Error `Pending_messages ->
             (* Old queue not drained yet: put it back and retry later. *)
@@ -820,8 +822,8 @@ module Percpu = struct
         msg_charge;
         assign_charge;
         steal_min;
-        runqs = Buckets.create ~size:16 ~dedup_size:256 ();
-        home = Hashtbl.create 256;
+        runqs = Buckets.create ();
+        home = Sim.Idtbl.create ();
         next_home = 0;
         stats = { scheduled = 0; estales = 0; steals = 0 };
       }
@@ -830,11 +832,11 @@ module Percpu = struct
        CPUs; running threads re-place via their THREAD_PREEMPTED message. *)
     let on_cpu_removed ctx cpu =
       let stale =
-        Hashtbl.fold
+        Sim.Idtbl.fold
           (fun tid h acc -> if h = cpu then tid :: acc else acc)
           t.home []
       in
-      List.iter (fun tid -> Hashtbl.remove t.home tid) stale;
+      List.iter (Sim.Idtbl.remove t.home) stale;
       match Buckets.take t.runqs cpu with
       | None -> ()
       | Some rq ->

@@ -75,9 +75,10 @@ end
     re-pushed after a drop may briefly appear twice, the duplicate commit
     fails EBUSY and is requeued, exactly the pre-DSL behavior. *)
 module Rq : sig
-  type dedup = (int, unit) Hashtbl.t
-  (** Shareable dedup table: pass the same one to several queues and a tid
-      lives in at most one of them ({!Buckets} is built this way). *)
+  type dedup = unit Sim.Idtbl.t
+  (** Shareable dedup table, indexed by tid: pass the same one to several
+      queues and a tid lives in at most one of them ({!Buckets} is built
+      this way). *)
 
   type order =
     | Fifo
@@ -87,7 +88,6 @@ module Rq : sig
   type t
 
   val make :
-    ?size:int ->
     ?dedup:dedup ->
     ?validate:(Abi.t -> Task.t -> bool) ->
     order ->
@@ -96,15 +96,14 @@ module Rq : sig
       [Task.is_runnable]); invalid entries are silently skipped. *)
 
   val fifo :
-    ?size:int -> ?dedup:dedup -> ?validate:(Abi.t -> Task.t -> bool) ->
-    unit -> t
+    ?dedup:dedup -> ?validate:(Abi.t -> Task.t -> bool) -> unit -> t
 
   val least :
-    ?size:int -> ?dedup:dedup -> ?validate:(Abi.t -> Task.t -> bool) ->
+    ?dedup:dedup -> ?validate:(Abi.t -> Task.t -> bool) ->
     (Abi.t -> Task.t -> int) -> t
 
   val edf :
-    ?size:int -> ?dedup:dedup -> ?validate:(Abi.t -> Task.t -> bool) ->
+    ?dedup:dedup -> ?validate:(Abi.t -> Task.t -> bool) ->
     (Abi.t -> Task.t -> int) -> t
   (** [least] under its scheduling name: earliest deadline first. *)
 
@@ -169,8 +168,6 @@ module Buckets : sig
   type t
 
   val create :
-    ?size:int ->
-    ?dedup_size:int ->
     ?validate:(int -> Abi.t -> Task.t -> bool) ->
     ?bucket_of:(Task.t -> int) ->
     unit ->
@@ -279,7 +276,6 @@ module Centralized : sig
     ?assign_charge:int ->
     ?track_assigned:bool ->
     ?forget_on_preempt:bool ->
-    ?rq_size:int ->
     ?queue_order:(int -> Rq.order) ->
     ?cpu_rank:(Abi.t -> int list -> int list) ->
     ?donate_rank:(Abi.t -> int list -> int list) ->

@@ -59,7 +59,7 @@ let policy ?(deadline = 16_667_000) ?timeslice ?(fastpath = false) ~is_frame
   Dsl.Centralized.make ~name:"hybrid-edf" ~nclasses:2
     ~classify:(fun _ task -> if is_frame task then 0 else 1)
     ?timeslice ~donate_idle:true ~evict_lower:true ~fastpath
-    ~wakeup_gated:true ~msg_charge:25 ~assign_charge:40 ~rq_size:512
+    ~wakeup_gated:true ~msg_charge:25 ~assign_charge:40
     ~queue_order
     ~cpu_rank:(fun ctx cpus -> by_class ctx cpus)
     ~donate_rank:(fun ctx cpus -> by_class ~reverse:true ctx cpus)

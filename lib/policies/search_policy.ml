@@ -176,7 +176,7 @@ let policy ?(config = default_config) () =
   let t =
     {
       config;
-      rq = Dsl.Rq.least ~size:1024 key_of;
+      rq = Dsl.Rq.least key_of;
       pending_since = Hashtbl.create 256;
       stats =
         {

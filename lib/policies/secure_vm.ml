@@ -221,7 +221,7 @@ let policy ?(quantum = 500_000) ?(eager_pairing = false) () =
       quantum;
       eager_pairing;
       runnable =
-        Dsl.Buckets.create ~size:16 ~dedup_size:128
+        Dsl.Buckets.create
           ~validate:(fun cookie _ task ->
             Task.is_runnable task && task.Task.cookie = cookie)
           ~bucket_of:(fun task -> task.Task.cookie)

@@ -175,7 +175,7 @@ let test_edf_no_inversion =
           ~schedule:(fun ctx _msgs ->
             if not !ran then begin
               let rq =
-                Policies.Dsl.Rq.edf ~size:64 (fun _ctx (t : Task.t) ->
+                Policies.Dsl.Rq.edf (fun _ctx (t : Task.t) ->
                     Hashtbl.find dl t.Task.tid)
               in
               let known =

@@ -205,6 +205,77 @@ let test_engine_cancel () =
   Sim.Engine.run e;
   check_bool "cancelled event did not fire" false !fired
 
+(* --- Idtbl ------------------------------------------------------------------ *)
+
+(* Model check for the dense id table: one random replace / remove / lookup
+   sequence run against both it and Stdlib.Hashtbl.  Keys start at -4, so
+   replace must raise on some and lookups must answer "absent" for them.
+   Keys run past several growth steps, and after every operation max_int
+   and min_int must still be absent.  The final fold must list the model's
+   bindings in ascending key order. *)
+type idtbl_op = Replace of int * int | Remove of int | Find of int | Mem of int
+
+let test_idtbl_model =
+  let key = QCheck.Gen.int_range (-4) 600 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Replace (k, v)) key small_nat);
+          (2, map (fun k -> Remove k) key);
+          (2, map (fun k -> Find k) key);
+          (1, map (fun k -> Mem k) key);
+        ])
+  in
+  let print = function
+    | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+    | Remove k -> Printf.sprintf "remove %d" k
+    | Find k -> Printf.sprintf "find %d" k
+    | Mem k -> Printf.sprintf "mem %d" k
+  in
+  QCheck.Test.make ~name:"Idtbl agrees with Hashtbl" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+      let t = Sim.Idtbl.create () in
+      let m = Hashtbl.create 16 in
+      let absent k = Sim.Idtbl.find_opt t k = None && not (Sim.Idtbl.mem t k) in
+      let step op =
+        match op with
+        | Replace (k, v) when k < 0 -> (
+          match Sim.Idtbl.replace t k v with
+          | () -> false
+          | exception Invalid_argument _ -> true)
+        | Replace (k, v) ->
+          Sim.Idtbl.replace t k v;
+          Hashtbl.replace m k v;
+          true
+        | Remove k ->
+          Sim.Idtbl.remove t k;
+          Hashtbl.remove m k;
+          true
+        | Find k ->
+          Sim.Idtbl.find_opt t k = Hashtbl.find_opt m k
+          && (match Sim.Idtbl.find t k with
+             | v -> Some v
+             | exception Not_found -> None)
+             = Hashtbl.find_opt m k
+        | Mem k -> Sim.Idtbl.mem t k = Hashtbl.mem m k
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Sim.Idtbl.length t = Hashtbl.length m
+          && absent max_int && absent min_int)
+        ops
+      &&
+      let folded = Sim.Idtbl.fold (fun k v acc -> (k, v) :: acc) t [] in
+      let iterated = ref [] in
+      Sim.Idtbl.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+      let model = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []) in
+      List.rev folded = model && List.rev !iterated = model)
+
 (* --- Rng -------------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -313,8 +384,8 @@ let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
       [
-        test_eventq_many; test_rng_int_bounds; test_rng_float_bounds;
-        test_dist_sample_ns_positive;
+        test_eventq_many; test_idtbl_model; test_rng_int_bounds;
+        test_rng_float_bounds; test_dist_sample_ns_positive;
       ]
   in
   Alcotest.run "sim"
