@@ -965,6 +965,12 @@ let run_bpf () =
     agent_only.Experiments.Bpf_ablation.wd_p99_us
     /. fastpath.Experiments.Bpf_ablation.wd_p99_us
   in
+  let words_per_req =
+    fastpath.Experiments.Bpf_ablation.minor_words
+    /. float_of_int (max 1 fastpath.Experiments.Bpf_ablation.completed)
+  in
+  Printf.printf "fastpath minor words per completed request: %.1f\n"
+    words_per_req;
   guard "bpf offered traffic identical"
     (if
        agent_only.Experiments.Bpf_ablation.offered
@@ -975,6 +981,13 @@ let run_bpf () =
   guard "bpf fastpath picks" (float_of_int fastpath.bpf_picks) ~floor:1_000.0;
   guard "bpf wakeup-to-dispatch p99 win" wd_win ~floor:2.0;
   guard "bpf no-program identity" (if identity_ok then 1.0 else 0.0) ~floor:1.0;
+  (* Host allocation on the kernel -> agent -> txn path, which the fastpath
+     row exercises hardest.  The count is deterministic for a build, so the
+     ceiling needs no noise band.  With the tid and CPU tables as
+     polymorphic Hashtbls (an option allocated per hit) it measured 427.6
+     words per request in quick mode and 427.2 in full; on Sim.Idtbl, 374.1
+     and 372.2. *)
+  guard_max "bpf fastpath minor words/req" words_per_req ~ceiling:400.0;
   let row_json (r : Experiments.Bpf_ablation.row) =
     Obs.Json.Obj
       [
@@ -997,6 +1010,7 @@ let run_bpf () =
             ("agent_only", row_json agent_only);
             ("fastpath", row_json fastpath);
             ("wd_p99_win", Obs.Json.Num wd_win);
+            ("fastpath_minor_words_per_request", Obs.Json.Num words_per_req);
             ("identity_ok", Obs.Json.Num (if identity_ok then 1.0 else 0.0));
           ] );
     ];

@@ -14,6 +14,7 @@ type row = {
   bpf_picks : int;
   bpf_misses : int;
   bpf_fallbacks : int;
+  minor_words : float;
 }
 
 let wd_hist () =
@@ -59,7 +60,9 @@ let run_one ~seed ~fastpath ~duration_ns ~rate =
   let sink = Obs.Sink.create () in
   Obs.Sink.install sink;
   Obs.Metrics.reset ();
+  let words0 = Gc.minor_words () in
   Kernel.run_until kernel (warmup + duration_ns + Sim.Units.ms 10);
+  let minor_words = Gc.minor_words () -. words0 in
   let wd = wd_hist () in
   Obs.Sink.uninstall ();
   let rec_ = Workloads.Openloop.recorder ol in
@@ -77,6 +80,7 @@ let run_one ~seed ~fastpath ~duration_ns ~rate =
     bpf_picks = stats.System.bpf_picks - picks0;
     bpf_misses = stats.System.bpf_misses - misses0;
     bpf_fallbacks = stats.System.bpf_fallbacks - fallbacks0;
+    minor_words;
   }
 
 let run ?(duration_ns = Sim.Units.ms 500) ?(rate = 330_000.0) ?(seed = 42) () =

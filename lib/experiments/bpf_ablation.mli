@@ -23,6 +23,9 @@ type row = {
   bpf_picks : int;
   bpf_misses : int;
   bpf_fallbacks : int;
+  minor_words : float;
+      (** Host minor-heap words allocated over the measured window: a
+          deterministic count for a given build, not a simulated cost. *)
 }
 
 val run : ?duration_ns:int -> ?rate:float -> ?seed:int -> unit -> row list
