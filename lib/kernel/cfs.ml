@@ -16,7 +16,11 @@ type rq = {
   mutable nr : int;  (* cached Tree.cardinal, kept exact by insert/remove *)
 }
 
-type t = { env : Class_intf.env; rqs : rq array }
+type t = {
+  env : Class_intf.env;
+  rqs : rq array;
+  ccx_cpus : int list array;  (* Topology.cpus_of_ccx, built once per kernel *)
+}
 
 let nice0_weight = 1024
 
@@ -131,7 +135,7 @@ let wakeup_preempt (curr : Task.t) (task : Task.t) =
 let scan_order t prev =
   let topo = t.env.topo in
   let sibling = match Topology.sibling_of topo prev with Some s -> [ s ] | None -> [] in
-  let ccx = Topology.cpus_of_ccx topo (Topology.ccx_of topo prev) in
+  let ccx = t.ccx_cpus.(Topology.ccx_of topo prev) in
   let socket = Topology.cpus_of_socket topo (Topology.socket_of topo prev) in
   (prev :: sibling) @ ccx @ socket @ Topology.cpus topo
 
@@ -215,7 +219,7 @@ let select_cpu t (task : Task.t) =
    experiment measures (§4.4). *)
 let steal t ~cpu ~filter =
   let topo = t.env.topo in
-  let candidates = Topology.cpus_of_ccx topo (Topology.ccx_of topo cpu) in
+  let candidates = t.ccx_cpus.(Topology.ccx_of topo cpu) in
   let allowed (task : Task.t) = Cpumask.mem task.affinity cpu && filter task in
   let try_cpu c =
     if c = cpu then None
@@ -319,6 +323,8 @@ let create env =
       rqs =
         Array.init env.Class_intf.ncpus (fun _ ->
             { tree = Tree.empty; min_vruntime = 0.0; weight = 0; nr = 0 });
+      ccx_cpus =
+        Array.init (Topology.num_ccx env.topo) (Topology.cpus_of_ccx env.topo);
     }
   in
   let rec tick_balance () =
