@@ -2,18 +2,19 @@
    with its own kernel, enclaves, agents and registry policy — behind a
    load balancer fed by one shared arrival process.
 
-   Engine layer: every machine runs on its own lane ({!Sim.Lanes}), merged
-   in lowest-(time, machine_id, seq) order, plus one {e coordinator} lane
-   (index N) holding the balancer's arrival process and the fleet
-   controller.  Cross-machine messages — request dispatch RPCs, queue-depth
-   gossip, control commands — are posted into the destination lane with
-   their {!Hw.Net} cost.  Because lanes are merged and never contended, a
-   machine's intra-lane event order is exactly its standalone order: a
-   cluster run of a scenario with no fleet traffic produces the identical
-   report to {!Scenario.run} at the same seed.
+   Engine layer: every machine runs on its own lane ({!Sim.Lanes}) of one
+   shared event queue, which fires in lowest-(time, machine_id, seq)
+   order, plus one {e coordinator} lane (index N) holding the balancer's
+   arrival process and the fleet controller.  Cross-machine messages —
+   request dispatch RPCs, queue-depth gossip, control commands — are
+   posted into the destination lane with their {!Hw.Net} cost.  A lane's
+   events keep their own push order, so a machine's intra-lane event
+   order is exactly its standalone order: a cluster run of a scenario with
+   no fleet traffic produces the identical report to {!Scenario.run} at
+   the same seed.
 
-   Observability: when a sink is installed, the merge scopes it to the
-   draining machine on every lane switch ({!Obs.Sink.set_machine}), so one
+   Observability: when a sink is installed, the lane loop scopes it to the
+   firing machine on every lane switch ({!Obs.Sink.set_machine}), so one
    ring buffer carries all machines and {!Obs.Perfetto} renders each as
    its own process group. *)
 
@@ -80,7 +81,7 @@ type report = {
   fleet_p99_ns : int;
   fleet_p999_ns : int;
   rebalances : int;
-  events_fired : int;  (* through the lane merge *)
+  events_fired : int;  (* through the lane loop *)
 }
 
 let to_string (r : report) =
@@ -133,27 +134,24 @@ let run (c : t) =
   let horizon = warmup + c.machines.(0).Scenario.measure_ns in
   let finish_at = horizon + c.machines.(0).Scenario.cooldown_ns in
   let fleet_rec = Workloads.Recorder.create () in
+  let lanes =
+    Sim.Lanes.create
+      ~on_lane_switch:(fun i ->
+        Obs.Sink.set_machine (if i < n then i else -1))
+      (n + 1)
+  in
   (* Machine setup runs under that machine's scope, so queue-ownership
      notes and any records written during setup attribute correctly. *)
   let machines =
     Array.init n (fun i ->
         Obs.Sink.set_machine i;
-        Machine.create ~mid:i ~warmup_ns:warmup ~horizon_ns:horizon
-          ~fleet:fleet_rec ~serve:c.serve c.machines.(i))
+        Machine.create ~engine:(Sim.Lanes.engine lanes i) ~mid:i
+          ~warmup_ns:warmup ~horizon_ns:horizon ~fleet:fleet_rec
+          ~serve:c.serve c.machines.(i))
   in
   Obs.Sink.set_machine (-1);
-  let coord = Sim.Engine.create () in
   let coord_lane = n in
-  let engines =
-    Array.init (n + 1) (fun i ->
-        if i < n then Machine.engine machines.(i) else coord)
-  in
-  let lanes =
-    Sim.Lanes.create
-      ~on_lane_switch:(fun i ->
-        Obs.Sink.set_machine (if i < n then i else -1))
-      engines
-  in
+  let coord = Sim.Lanes.engine lanes coord_lane in
   let ctrl = Fleet.create n in
   (match c.arrivals with
   | None -> ()

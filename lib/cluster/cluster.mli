@@ -2,8 +2,8 @@
     own kernel, enclaves, agents and policy — behind a load balancer fed
     by one shared arrival process.
 
-    Every machine runs on its own event lane ({!Sim.Lanes}); the merge
-    fires events in lowest-(time, machine_id, seq) order, so a run is
+    Every machine runs on its own lane ({!Sim.Lanes}) of one shared event
+    queue, which fires in lowest-(time, machine_id, seq) order, so a run is
     bit-reproducible at a fixed seed and a machine's intra-lane order is
     exactly its standalone order.  Cross-machine traffic (dispatch RPCs,
     queue-depth gossip) pays {!Hw.Net} costs.  The fleet controller
@@ -64,7 +64,7 @@ type report = {
   fleet_p99_ns : int;
   fleet_p999_ns : int;  (** fleet-wide request latency across all machines *)
   rebalances : int;  (** control periods that materially moved weights *)
-  events_fired : int;  (** events through the lane merge *)
+  events_fired : int;  (** events through the lane loop *)
 }
 
 val run : t -> report

@@ -578,7 +578,7 @@ let install_class t (cls : Class_intf.cls) =
   t.by_policy.(Task.policy_rank cls.policy) <- Some cls;
   if not cls.tracks_queued then t.scan_classes <- t.scan_classes @ [ cls ]
 
-let create ?(core_sched = false) ?(seed = 42) machine =
+let create ?(core_sched = false) ?(seed = 42) ?engine machine =
   let topo = machine.Hw.Machines.topo in
   let mcosts = machine.Hw.Machines.costs in
   let ncpus = Hw.Topology.num_cpus topo in
@@ -599,7 +599,8 @@ let create ?(core_sched = false) ?(seed = 42) machine =
   let t =
     {
       machine;
-      engine = Sim.Engine.create ();
+      engine =
+        (match engine with Some e -> e | None -> Sim.Engine.create ());
       rng = Sim.Rng.create seed;
       core_sched;
       cpus =

@@ -26,10 +26,12 @@ type stats = {
   mutable reschedules : int;
 }
 
-val create : ?core_sched:bool -> ?seed:int -> Hw.Machines.t -> t
+val create :
+  ?core_sched:bool -> ?seed:int -> ?engine:Sim.Engine.t -> Hw.Machines.t -> t
 (** Build a kernel for the given machine.  [core_sched] enables the
     in-kernel core-scheduling baseline of §4.5 (cookie-compatible tasks only
-    on SMT siblings). *)
+    on SMT siblings).  The kernel runs on [engine], by default a fresh one;
+    a cluster passes its machine's lane ({!Sim.Lanes.engine}). *)
 
 val engine : t -> Sim.Engine.t
 val topo : t -> Hw.Topology.t

@@ -341,8 +341,8 @@ let report_of (t : t) (le : live_enclave) =
 
 type started = { scn : t; live : live; sink : Obs.Sink.t option }
 
-let start (t : t) =
-  let kernel = Kernel.create ~seed:t.seed t.machine in
+let start ?engine (t : t) =
+  let kernel = Kernel.create ?engine ~seed:t.seed t.machine in
   let sys = System.install kernel in
   let sink =
     match t.trace with

@@ -167,7 +167,9 @@ val run : t -> report
 
 type started
 
-val start : t -> started
+val start : ?engine:Sim.Engine.t -> t -> started
+(** [engine] is the kernel's engine ({!Kernel.create}); a cluster passes
+    the machine's lane. *)
 
 val live_of : started -> live
 val kernel_of : started -> Kernel.t

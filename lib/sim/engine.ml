@@ -1,8 +1,18 @@
 type handle = Eventq.handle
 
-type t = { mutable clock : int; events : Eventq.t; mutable fired : int }
+(* A lane's view of a queue: [tag] is its lane id shifted above the push
+   count ({!Eventq.push_tagged}); a standalone engine is lane 0. *)
+type t = { mutable clock : int; events : Eventq.t; tag : int; mutable fired : int }
 
-let create () = { clock = 0; events = Eventq.create (); fired = 0 }
+let create () = { clock = 0; events = Eventq.create (); tag = 0; fired = 0 }
+
+let lane root i =
+  if i < 0 || i > Eventq.max_lane then
+    invalid_arg
+      (Printf.sprintf "Engine.lane: lane id %d does not fit the %d lane bits" i
+         (Sys.int_size - 1 - Eventq.lane_shift));
+  { root with tag = i lsl Eventq.lane_shift; fired = 0 }
+
 let now e = e.clock
 let events_fired e = e.fired
 
@@ -10,11 +20,11 @@ let post e ~time fn =
   if time < e.clock then
     invalid_arg
       (Printf.sprintf "Engine.post: time %d is before now %d" time e.clock);
-  Eventq.push e.events ~time fn
+  Eventq.push_tagged e.events ~tag:e.tag ~time fn
 
 let post_in e ~delay fn =
   if delay < 0 then invalid_arg "Engine.post_in: negative delay";
-  Eventq.push e.events ~time:(e.clock + delay) fn
+  Eventq.push_tagged e.events ~tag:e.tag ~time:(e.clock + delay) fn
 
 let cancel e h = Eventq.cancel e.events h
 let pending e = Eventq.live_count e.events
@@ -25,17 +35,20 @@ let next_time e = Eventq.next_time e.events
    that may not be armed — no [Some] box per re-arm on hot paths. *)
 let nil_handle : handle = Heapq.nil
 
-(* Remove the earliest event due by [bound] and account it as fired; the
-   caller runs [fn].  One pass per event: [pop_cell_until] folds the bound
-   check into the pop, where peek-then-pop normalised the queue twice, and
-   the sentinel protocol keeps it allocation-free.  Taking apart from
-   firing lets the lane merge set its global clock between the two. *)
+(* [pop_cell_until] folds the bound check into the pop, one queue pass per
+   event, and the sentinel protocol keeps it allocation-free.  The lane
+   loop stamps the popped event's own lane, not [e]. *)
+let[@inline] pop_until e bound = Eventq.pop_cell_until e.events ~horizon:bound
+
+let[@inline] stamp e (c : handle) =
+  e.clock <- c.Heapq.time;
+  e.fired <- e.fired + 1
+
+let advance e time = if time > e.clock then e.clock <- time
+
 let[@inline] take_until e bound =
-  let c = Eventq.pop_cell_until e.events ~horizon:bound in
-  if c != Heapq.nil then begin
-    e.clock <- c.Heapq.time;
-    e.fired <- e.fired + 1
-  end;
+  let c = pop_until e bound in
+  if c != Heapq.nil then stamp e c;
   c
 
 let step e =
@@ -55,7 +68,7 @@ let run_until e horizon =
     end
   in
   loop ();
-  if horizon > e.clock then e.clock <- horizon
+  advance e horizon
 
 let run ?max_events e =
   match max_events with

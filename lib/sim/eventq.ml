@@ -11,7 +11,11 @@
    Pop order is exact (time, seq): both tiers order cells identically, and
    the pop path compares their heads, so the merge is bit-identical to a
    single global heap.  Fired cells are marked cancelled (as the seed
-   implementation did) so a handle kept after its event ran is inert. *)
+   implementation did) so a handle kept after its event ran is inert.
+
+   Sequence numbers are lane-major, [lane lsl lane_shift lor push count],
+   so one queue carries several {!Engine} lanes in the order separate
+   per-lane queues merged by lane id would fire them. *)
 
 type handle = Heapq.cell
 
@@ -28,15 +32,24 @@ let create () = { wheel = Wheel.create (); heap = Heapq.create (); next_seq = 0 
 let live_count q = Wheel.live q.wheel + Heapq.live_count q.heap
 let is_empty q = live_count q = 0
 
-let push q ~time fn =
-  let cell = { Heapq.time; seq = q.next_seq; fn; flags = 0 } in
-  q.next_seq <- q.next_seq + 1;
+let lane_shift = 40
+let max_lane = max_int lsr lane_shift
+let lane_of (cell : handle) = cell.Heapq.seq lsr lane_shift
+
+let push_tagged q ~tag ~time fn =
+  let n = q.next_seq in
+  if n lsr lane_shift <> 0 then
+    failwith "Eventq.push: the push counter would spill into the lane bits";
+  let cell = { Heapq.time; seq = tag lor n; fn; flags = 0 } in
+  q.next_seq <- n + 1;
   if Wheel.accepts q.wheel ~time then Wheel.add q.wheel cell
   else begin
     Heapq.set_in_heap cell;
     Heapq.add q.heap cell
   end;
   cell
+
+let push q ~time fn = push_tagged q ~tag:0 ~time fn
 
 let cancel q (cell : handle) =
   if not (Heapq.cancelled cell) then begin
