@@ -1,6 +1,6 @@
 (* CI gate for the cluster harness: a 2-machine fleet at a fixed seed must
    serve traffic, and two runs of the same spec must produce byte-identical
-   fleet reports (the lane merge is deterministic).  A third leg runs the
+   fleet reports (the lanes' firing order is deterministic).  A third leg runs the
    same fleet with the BPF fastpath tier enabled in every per-machine
    kernel (`?fastpath=true`) and proves the in-kernel programs actually
    fire — picks > 0 via the [bpf.picks] metric.  Run via

@@ -138,8 +138,8 @@ let track_code = function
 (* Machine scope for cluster runs: bits 22+ of a track code carry
    [machine + 1] (0 = unscoped), stamped by [claim] so every record — spans,
    instants, sched events — is attributed to the machine whose lane was
-   draining when it was written.  Track ids therefore live in bits 2..21.
-   Process-global like the installed sink itself: the cluster's lane merge
+   firing when it was written.  Track ids therefore live in bits 2..21.
+   Process-global like the installed sink itself: the cluster's lane loop
    calls {!set_machine} on every lane switch. *)
 
 let track_id_mask = 0xFFFFF

@@ -122,8 +122,8 @@ val track_code : track -> int
 
 (** {1 Machine scope (cluster runs)}
 
-    Process-global, like sink installation: the cluster lane merge calls
-    {!set_machine} whenever it starts draining a different machine's lane,
+    Process-global, like sink installation: the cluster lane loop calls
+    {!set_machine} whenever it fires an event on a different machine's lane,
     and every record written meanwhile — and every cross-layer join key —
     is attributed to that machine.  Track ids are limited to 20 bits; the
     machine lives in the track code's high bits, so single-machine runs
