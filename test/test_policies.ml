@@ -244,6 +244,116 @@ let test_idle_pass_scan_charge () =
     1000
     (passes_in_1000 ~cost:(Agent.base_pass_cost + ((n - 1) * step)))
 
+(* The agent-pass spans [run] records from [from] on, oldest first, as
+   (duration, msgs, txns).  With [min_iteration] and [idle_gap] at 0 on a
+   machine without SMT, a pass lasts exactly what it charges. *)
+let pass_spans ~from run =
+  let sink = Obs.Sink.create ~capacity:(1 lsl 20) () in
+  Obs.Sink.install sink;
+  Fun.protect ~finally:Obs.Sink.uninstall run;
+  let began = Hashtbl.create 64 and passes = ref [] in
+  Obs.Sink.iter sink (fun ev ->
+      match ev.Obs.Sink.kind with
+      | Obs.Sink.Span_begin { id; name = "agent-pass"; _ } ->
+        Hashtbl.replace began id ev.Obs.Sink.time
+      | Obs.Sink.Span_end { id } -> (
+        match Hashtbl.find_opt began id with
+        | Some t0 when t0 >= from ->
+          let arg key = int_of_string (List.assoc key ev.Obs.Sink.args) in
+          passes := (ev.Obs.Sink.time - t0, arg "msgs", arg "txns") :: !passes
+        | Some _ | None -> ())
+      | _ -> ());
+  List.rev !passes
+
+(* A two-class donating engine on [n] CPUs, the agent on CPU 0: [nbatch]
+   class-1 threads start at time 0 and, if [lc_at] is given, one class-0
+   thread then.  Returns the passes from [from] to [until]. *)
+let donate_passes ~n ~nbatch ?donate_max ?lc_at ~from ~until () =
+  pass_spans ~from (fun () ->
+      let k, sys = setup n in
+      let e = System.create_enclave sys ~cpus:(Kernel.full_mask k) () in
+      let eng, pol =
+        Policies.Dsl.Centralized.make ~name:"donate-charge" ~nclasses:2
+          ~classify:(fun _ t -> if is_batch t then 1 else 0)
+          ~donate_idle:true ~evict_lower:true ()
+      in
+      Policies.Dsl.Centralized.set_donate_max eng donate_max;
+      let _g = Agent.attach_global sys e ~min_iteration:0 ~idle_gap:0 pol in
+      let start name =
+        let t = Kernel.create_task k ~name (Task.compute_forever ~slice:(us 50)) in
+        System.manage e t;
+        Kernel.start k t
+      in
+      for i = 0 to nbatch - 1 do
+        start (Printf.sprintf "batch%d" i)
+      done;
+      Option.iter
+        (fun at ->
+          Kernel.run_until k at;
+          start "lc0")
+        lc_at;
+      Kernel.run_until k until)
+
+(* Expected charge of one pass that drains [msgs] messages, makes or owes
+   [probes] CPU probes and grants [grants] CPUs (the engine's default
+   message and assignment charges, one group commit off the agent's CPU). *)
+let pass_cost ?(msgs = 0) ~probes ?(grants = 0) () =
+  let c = Hw.Costs.skylake in
+  Agent.base_pass_cost
+  + (msgs * (c.Hw.Costs.msg_consume + 25))
+  + (probes * Agent.scan_step_cost)
+  + (grants * (40 + c.Hw.Costs.txn_group_per_txn))
+  + if grants > 0 then c.Hw.Costs.txn_group_fixed else 0
+
+let first k l = List.filteri (fun i _ -> i < k) l
+let check_passes = Alcotest.(check (list (triple int int int)))
+
+(* Every CPU busy and class 1 still queued: the donate walk probes each CPU
+   a pass has not assigned.  A steady pass probes all [n - 1] twice (fill
+   owes them, donate makes them); the pass that places a class-0 arrival
+   probes every CPU in fill, evicts a batch thread from CPU 1 and then
+   probes the other [n - 2] in donate. *)
+let test_donate_charge_busy () =
+  let n = 6 in
+  let steady = (pass_cost ~probes:(2 * (n - 1)) (), 0, 0) in
+  check_passes "steady busy passes" [ steady; steady; steady ]
+    (first 3 (donate_passes ~n ~nbatch:(n + 1) ~from:(us 15) ~until:(us 20) ()));
+  let evicting =
+    List.filter
+      (fun (_, _, txns) -> txns > 0)
+      (donate_passes ~n ~nbatch:(n + 1) ~lc_at:(us 20) ~from:(us 20)
+         ~until:(us 40) ())
+  in
+  check_passes "evicting pass"
+    [ (pass_cost ~msgs:1 ~probes:((n - 1) + 1 + (n - 2)) ~grants:1 (), 1, 1) ]
+    evicting
+
+(* [donate_max] of 1 with idle CPUs left: each pass grants the first idle
+   CPU of its walk and charges nothing for the CPUs after it. *)
+let test_donate_charge_cap () =
+  let n = 6 in
+  let granting =
+    List.filter
+      (fun (_, _, txns) -> txns > 0)
+      (donate_passes ~n ~nbatch:4 ~donate_max:1 ~from:0 ~until:(us 30) ())
+  in
+  check_passes "one grant per pass, walk stops at it"
+    (List.init 4 (fun i -> (pass_cost ~probes:((n - 1) + i + 1) ~grants:1 (), 0, 1)))
+    granting
+
+(* Two batch threads for five idle CPUs: once the walk grants both, the
+   class is empty and the three CPUs left are charged in one scan. *)
+let test_donate_charge_drain () =
+  let n = 6 in
+  let granting =
+    List.filter
+      (fun (_, _, txns) -> txns > 0)
+      (donate_passes ~n ~nbatch:2 ~from:0 ~until:(us 30) ())
+  in
+  check_passes "drained mid-walk"
+    [ (pass_cost ~probes:(2 * (n - 1)) ~grants:2 (), 0, 2) ]
+    granting
+
 (* --- Search policy ---------------------------------------------------------- *)
 
 let test_search_prefers_ccx () =
@@ -482,6 +592,12 @@ let () =
           Alcotest.test_case "snap relocation" `Quick test_snap_policy_relocation;
           Alcotest.test_case "idle pass scan charge" `Quick
             test_idle_pass_scan_charge;
+          Alcotest.test_case "donate charge, every CPU busy" `Quick
+            test_donate_charge_busy;
+          Alcotest.test_case "donate charge, cap mid-walk" `Quick
+            test_donate_charge_cap;
+          Alcotest.test_case "donate charge, class drained mid-walk" `Quick
+            test_donate_charge_drain;
         ] );
       ( "search",
         [
