@@ -1,8 +1,9 @@
 (* ABI-boundary lint: policies and scenario controllers must talk to the
    kernel through [Ghost.Abi] (and controllers through [Scenario]'s live
-   accessors) — never through [Kernel]/[System] internals or status-word
-   mutators — and lib/bpf programs must be pure: no runtime module at all,
-   only their own Snapshot and maps.  Scans the given directories' .ml/.mli
+   accessors) — never through [Kernel]/[System] internals, status-word
+   mutators or the runtime-only side of [Ghost.Abi] — and lib/bpf programs
+   must be pure: no runtime module at all, only their own Snapshot and
+   maps.  Scans the given directories' .ml/.mli
    sources and fails on any dotted reference outside the per-directory
    ruleset.
 
@@ -121,6 +122,12 @@ let status_word_banned member =
 (* The closed backdoor: policies once reached the raw kernel this way. *)
 let agent_banned member = member = "kernel" || member = "sys"
 
+(* The runtime's side of [Ghost.Abi]: the pass-context constructor and the
+   pass-state accessors.  Through them a policy could reset its own charge
+   or read back and rewrite its submitted batches. *)
+let abi_runtime_only member =
+  List.mem member [ "context"; "begin_pass"; "charged"; "batches"; "wire_wakeup" ]
+
 let is_ident_char c =
   (c >= 'A' && c <= 'Z')
   || (c >= 'a' && c <= 'z')
@@ -235,18 +242,27 @@ let check_line ~rules ~file ~lnum line =
                 report ~file ~lnum
                   "Status_word.%s mutates a status word (snapshots only outside lib/core)"
                   next
+            | "Abi" ->
+              if abi_runtime_only next then
+                report ~file ~lnum
+                  "Abi.%s is the runtime's pass state (lib/core only)" next
             | _ -> ());
           walk rest
       in
       walk comps;
-      (* A token ending in a bare restricted module name is only legal when
-         it (re)binds that same name. *)
+      (* A token ending in a bare restricted module name — or in [Abi],
+         whose runtime-only members are checked by name — is only legal
+         when it (re)binds that same name. *)
       match List.rev comps with
-      | last :: _ when List.mem last rules.restricted -> (
+      | last :: _
+        when List.mem last rules.restricted
+             || (rules.agent_sw_checks && last = "Abi") -> (
         match module_binding line with
         | Some name when name = last -> ()
         | Some name ->
           report ~file ~lnum "aliasing %s as %s defeats the ABI lint" last name
+        | None when List.mem "open" (tokens_of_line line) ->
+          report ~file ~lnum "opening %s defeats the ABI lint" last
         | None when comps = [ last ] ->
           (* "module" itself tokenizes, so a bare name here is a use site. *)
           report ~file ~lnum "bare %s module reference outside an alias" last
