@@ -1,11 +1,11 @@
 (* Benchmark harness: one target per table and figure of the paper's
-   evaluation (§4), plus the ablations DESIGN.md calls out and real-time
-   microbenchmarks of the hot data structures.
+   evaluation (§4), plus the ablations DESIGN.md calls out and the
+   simulator's own throughput and allocation guards.
 
-   Usage:  main.exe [target ...]
+   Usage:  main.exe [quick] [target ...]
    Targets: table2 table3 fig5 fig6a fig6bc fig7a fig7b fig8 table4
-            bpf tickless upgrade resilience colocation micro engine quick all
-            (default: all) *)
+            bpf tickless upgrade resilience colocation engine cluster dsl
+            hybrid all (default: all) *)
 
 let quick = ref false
 
@@ -172,89 +172,6 @@ let run_resilience () =
     (Experiments.Resilience.run ~scenario:Experiments.Resilience.Crash ());
   Experiments.Resilience.print
     (Experiments.Resilience.run ~scenario:Experiments.Resilience.Stuck ())
-
-(* --- Real-time microbenchmarks (Bechamel) ------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let squeue_roundtrip =
-    Test.make ~name:"squeue produce+consume"
-      (Staged.stage (fun () ->
-           let q = Ghost.Squeue.create ~id:1 ~capacity:64 in
-           let msg =
-             {
-               Ghost.Msg.kind = Ghost.Msg.THREAD_WAKEUP;
-               tid = 1;
-               tseq = 1;
-               cpu = 0;
-               posted_at = 0;
-               visible_at = 0;
-             }
-           in
-           ignore (Ghost.Squeue.produce q msg);
-           ignore (Ghost.Squeue.consume q ~now:1)))
-  in
-  let eventq_ops =
-    (* Steady state on a persistent queue (creating one allocates the whole
-       timer wheel, which would dominate a per-iteration measurement). *)
-    let q = Sim.Eventq.create () in
-    let t = ref 0 in
-    Test.make ~name:"eventq push+pop"
-      (Staged.stage (fun () ->
-           incr t;
-           ignore (Sim.Eventq.push q ~time:!t ignore);
-           ignore (Sim.Eventq.pop q)))
-  in
-  let heap_ops =
-    Test.make ~name:"minheap push+pop"
-      (Staged.stage (fun () ->
-           let h = Policies.Minheap.create () in
-           Policies.Minheap.push h ~key:3 1;
-           Policies.Minheap.push h ~key:1 2;
-           ignore (Policies.Minheap.pop h);
-           ignore (Policies.Minheap.pop h)))
-  in
-  let hist_record =
-    let h = Gstats.Histogram.create () in
-    Test.make ~name:"histogram record"
-      (Staged.stage (fun () -> Gstats.Histogram.record h 123_456))
-  in
-  let mask_ops =
-    let m = Kernel.Cpumask.create_full ~ncpus:256 in
-    Test.make ~name:"cpumask mem"
-      (Staged.stage (fun () -> ignore (Kernel.Cpumask.mem m 137)))
-  in
-  [ squeue_roundtrip; eventq_ops; heap_ops; hist_record; mask_ops ]
-
-let run_micro () =
-  let open Bechamel in
-  Gstats.Table.print_title
-    "Microbenchmarks (real wall-time of the hot data structures)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let rows =
-    List.map
-      (fun test ->
-        let results = Benchmark.all cfg instances test in
-        let name = Test.Elt.name (List.hd (Test.elements test)) in
-        let analysis = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-        let per_run =
-          Hashtbl.fold
-            (fun _ ols acc ->
-              match Analyze.OLS.estimates ols with
-              | Some [ est ] -> est
-              | Some _ | None -> acc)
-            analysis 0.0
-        in
-        [ name; Printf.sprintf "%.1f ns" per_run ])
-      (bechamel_tests ())
-  in
-  Gstats.Table.print ~header:[ "operation"; "time/op" ] rows
 
 (* --- Engine throughput (events/sec) ------------------------------------------ *)
 
@@ -1167,6 +1084,55 @@ let dsl_perf_specs =
 
 let dsl_perf_sim_ns = ms 200
 
+(* Host minor words per agent pass of the repo benchmark's serve-central
+   shape, shortened: shinjuku?shenango_ext=true with one spinning global
+   agent on a 21-CPU xeon-e5-1s enclave, bimodal RocksDB requests at
+   200 kq/s and 10 batch threads, counted over 20 ms after a 10 ms warmup.
+   [Gc.minor_words] is exact, so the count is deterministic for a build. *)
+let central_words_per_pass () =
+  let warmup_ns = ms 10 and measure_ns = ms 20 in
+  let scn =
+    Scenario.make ~seed:42 ~machine:Hw.Machines.xeon_e5_1s ~warmup_ns
+      ~measure_ns ~cooldown_ns:0
+      ~enclaves:
+        [
+          Scenario.enclave ~policy:"shinjuku?shenango_ext=true"
+            ~cpus:(List.init 21 Fun.id)
+            ~workloads:
+              [
+                Scenario.Openloop
+                  {
+                    wseed = 1;
+                    rate = 200_000.0;
+                    service =
+                      Sim.Dist.Bimodal
+                        { p_slow = 0.005; fast = 4_000.0; slow = 10_000_000.0 };
+                    nworkers = 200;
+                    prefix = "worker";
+                  };
+                Scenario.Batch { n = 10; prefix = "batch" };
+              ]
+            "serving";
+        ]
+      "central-words"
+  in
+  let st = Scenario.start scn in
+  let k = Scenario.kernel_of st in
+  let group = Scenario.group (Scenario.find (Scenario.live_of st) "serving") in
+  Kernel.run_until k warmup_ns;
+  let p0 = Ghost.Agent.iterations group in
+  let w0 = Gc.minor_words () in
+  Kernel.run_until k (warmup_ns + measure_ns);
+  let words = Gc.minor_words () -. w0 in
+  words /. float_of_int (Ghost.Agent.iterations group - p0)
+
+(* The same count with the agent ABI as a closure table and the centralized
+   phases taking per-pass skip/assign closures, before the direct pass
+   context replaced both: 222.6.  On the direct context it is 149.0, so
+   the ceiling sits between the two with room for unrelated drift. *)
+let central_words_per_pass_closure_abi = 222.6
+let central_words_per_pass_ceiling = 165.0
+
 let run_dsl_baseline () =
   let digests = dsl_digest_cases () in
   List.iter (fun (k, d) -> Printf.printf "dsl baseline digest %-24s %s\n" k d) digests;
@@ -1286,6 +1252,11 @@ let run_dsl () =
   guard "dsl adaptive vs static p99"
     (afrozen.Experiments.Adaptive.p99_us /. alive.Experiments.Adaptive.p99_us)
     ~floor:1.05;
+  let pass_words = central_words_per_pass () in
+  Printf.printf "dsl central minor words per agent pass: %.1f (closure ABI %.1f)\n"
+    pass_words central_words_per_pass_closure_abi;
+  guard_max "dsl central minor words/pass" pass_words
+    ~ceiling:central_words_per_pass_ceiling;
   let side_json (s : Experiments.Adaptive.side) =
     Obs.Json.Obj
       [
@@ -1316,6 +1287,14 @@ let run_dsl () =
                 Obs.Json.Obj
                   [
                     ("live", side_json alive); ("static", side_json afrozen);
+                  ] );
+              ( "central_pass_words",
+                Obs.Json.Obj
+                  [
+                    ("minor_words_per_pass", Obs.Json.Num pass_words);
+                    ( "closure_abi_minor_words_per_pass",
+                      Obs.Json.Num central_words_per_pass_closure_abi );
+                    ("ceiling", Obs.Json.Num central_words_per_pass_ceiling);
                   ] );
             ]) );
     ];
@@ -1427,7 +1406,6 @@ let all_targets =
     ("upgrade", run_upgrade);
     ("resilience", run_resilience);
     ("colocation", run_colocation);
-    ("micro", run_micro);
     ("engine", run_engine);
     ("cluster", run_cluster);
     ("dsl", run_dsl);
