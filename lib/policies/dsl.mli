@@ -209,7 +209,8 @@ module Commit : sig
       targeting [cpu]; [charge] bills agent compute for the decision. *)
 
   val submit : Abi.t -> t -> unit
-  (** Submit in {!add} order; a no-op when nothing accumulated. *)
+  (** Submit in {!add} order and empty the group, so it can be reused for
+      the next pass; a no-op when nothing accumulated. *)
 end
 
 (** The centralized template: one spinning global agent, N priority
