@@ -52,15 +52,16 @@ val cancel : t -> handle -> unit
 val is_cancelled : handle -> bool
 (** Whether [cancel] was called on this handle. *)
 
-val pop_cell : t -> Heapq.cell
-(** Remove and return the earliest live event's cell, marked as fired
-    ({!Heapq.nil} when empty; compare with [==]).  The allocation-free pop
-    the engine loop runs on — read [time]/[fn] straight off the cell. *)
-
 val pop_cell_until : t -> horizon:int -> Heapq.cell
-(** Like {!pop_cell} but leaves the queue untouched (returning {!Heapq.nil})
-    when the earliest live event is after [horizon] — the single-pass
-    primitive behind {!Engine.pop_until}. *)
+(** Remove and return the earliest live event's cell, marked as fired, if
+    its time is at most [horizon]; otherwise leave the queue untouched and
+    return {!Heapq.nil} (compare with [==]).  The allocation-free pop the
+    engine and lane loops run on ({!Engine.pop_until}): read [time]/[fn]
+    straight off the cell.  While the overflow heap holds no live event it
+    is a single {!Wheel.pop_until}. *)
+
+val pop_cell : t -> Heapq.cell
+(** {!pop_cell_until} with no horizon: {!Heapq.nil} only when empty. *)
 
 val pop : t -> (int * (unit -> unit)) option
 (** Remove and return the earliest live event as [(time, fn)], skipping

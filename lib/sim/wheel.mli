@@ -24,25 +24,15 @@ val accepts : t -> time:int -> bool
 val add : t -> Heapq.cell -> unit
 (** Store a live cell; raises [Invalid_argument] if [accepts] is false. *)
 
-val peek : t -> Heapq.cell option
-(** Earliest live cell, left stored.  May advance [base], cascade slots and
-    reclaim cancelled cells. *)
-
 val peek_cell : t -> Heapq.cell
-(** {!peek} without the [option]: {!Heapq.nil} when empty. *)
+(** Earliest live cell, left stored; {!Heapq.nil} when empty.  May advance
+    [base], cascade slots and reclaim cancelled cells. *)
 
-val pop : t -> Heapq.cell option
-(** Remove and return the earliest live cell.  The caller marks it cancelled
-    after firing.  Advances [base] to the popped time. *)
-
-val take : t -> Heapq.cell -> unit
-(** [take t c] removes [c], which must be the result of a {!peek} with no
-    intervening wheel mutation (raises [Invalid_argument] otherwise).  O(1):
-    skips the re-normalisation {!pop} would repeat. *)
-
-val take_peeked : t -> unit
-(** Unchecked {!take} of the cell the immediately preceding non-nil
-    {!peek_cell} returned (no intervening mutation allowed). *)
+val pop_until : t -> int -> Heapq.cell
+(** [pop_until t horizon] removes the earliest live cell, marks it fired
+    (cancelled) and returns it, if its time is at most [horizon]; otherwise
+    {!Heapq.nil}, with nothing removed.  Advances [base] to the popped
+    time. *)
 
 val advance : t -> int -> unit
 (** Move [base] forward (no-op backwards).  Precondition: no stored cell is
@@ -51,12 +41,6 @@ val advance : t -> int -> unit
 val note_cancel : t -> unit
 (** A stored cell was just marked cancelled; may trigger a compaction
     sweep. *)
-
-val compact : t -> unit
-(** Drop all cancelled cells now. *)
-
-val stored : t -> int
-(** Cells held, including cancelled garbage. *)
 
 val live : t -> int
 (** Non-cancelled cells held. *)
