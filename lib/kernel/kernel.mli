@@ -15,7 +15,6 @@ module Class_intf = Class_intf
 module Cfs = Cfs
 module Rt = Rt
 module Microquanta = Microquanta
-module Trace = Trace
 
 type t
 
@@ -151,11 +150,6 @@ val install_class : t -> Class_intf.cls -> unit
 val find_class : t -> Task.policy -> Class_intf.cls
 val on_tick : t -> (int -> unit) -> unit
 (** Register a per-CPU timer-tick listener (ghOSt's TIMER_TICK source). *)
-
-val set_tracer : t -> Trace.t option -> unit
-(** Attach (or detach) a scheduling-event trace ring. *)
-
-val tracer : t -> Trace.t option
 
 (** {1 Running} *)
 

@@ -26,8 +26,8 @@ type track =
   | Enclave of int  (** rendered on the enclave's async track *)
   | Global
 
-(** Scheduler events, mirroring {!Kernel.Trace.event} (duplicated here so
-    [kernel] can depend on [obs] without a cycle), plus timer ticks. *)
+(** Scheduler events, which the kernel reports through {!Hooks}, plus
+    timer ticks. *)
 type sched =
   | Dispatch of { cpu : int; tid : int; name : string; migrated : bool }
   | Preempt of { cpu : int; tid : int }

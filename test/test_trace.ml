@@ -1,7 +1,7 @@
-(* Tests for the scheduling trace ring and its kernel wiring. *)
+(* Tests for the kernel's scheduling-event wiring into the installed
+   observability sink. *)
 
 module Task = Kernel.Task
-module Trace = Kernel.Trace
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -15,158 +15,132 @@ let machine ncores =
     costs = Hw.Costs.skylake;
   }
 
-let test_ring_basics () =
-  let tr = Trace.create ~capacity:4 () in
-  check_int "empty" 0 (Trace.length tr);
-  for i = 1 to 3 do
-    Trace.emit tr ~time:i (Trace.Idle { cpu = i })
-  done;
-  check_int "three records" 3 (Trace.length tr);
-  (match Trace.records tr with
-  | { Trace.time = 1; _ } :: _ -> ()
-  | _ -> Alcotest.fail "oldest first");
-  (* Overflow keeps the most recent. *)
-  for i = 4 to 10 do
-    Trace.emit tr ~time:i (Trace.Idle { cpu = i })
-  done;
-  check_int "bounded" 4 (Trace.length tr);
-  check_int "total counts everything" 10 (Trace.total tr);
-  (match Trace.records tr with
-  | { Trace.time = 7; _ } :: _ -> ()
-  | r :: _ -> Alcotest.failf "expected oldest=7, got %d" r.Trace.time
-  | [] -> Alcotest.fail "empty after overflow");
-  Trace.clear tr;
-  check_int "cleared" 0 (Trace.length tr)
+(* Installs a fresh sink for [fn] and uninstalls it even when an assertion
+   fails, so no sink leaks into the next test. *)
+let with_sink fn =
+  Obs.Metrics.reset ();
+  let sink = Obs.Sink.create () in
+  Obs.Sink.install sink;
+  Fun.protect ~finally:Obs.Sink.uninstall (fun () -> fn sink)
 
-let test_iter_matches_records () =
-  let tr = Trace.create ~capacity:8 () in
-  for i = 1 to 13 do
-    (* Overflows the ring so both paths must agree on the wrapped window. *)
-    Trace.emit tr ~time:i (Trace.Idle { cpu = i })
-  done;
-  let via_iter = ref [] in
-  Trace.iter tr (fun r -> via_iter := r :: !via_iter);
-  check_bool "iter visits records-list order" true
-    (List.rev !via_iter = Trace.records tr);
-  check_int "iter count" (Trace.length tr) (List.length !via_iter)
+(* The scheduling events the sink holds, oldest first, with their times. *)
+let sched_events sink =
+  List.filter_map
+    (fun (e : Obs.Sink.ev) ->
+      match e.kind with Obs.Sink.Sched s -> Some (e.time, s) | _ -> None)
+    (Obs.Sink.events sink)
 
 let test_kernel_emits_lifecycle () =
-  let k = Kernel.create (machine 2) in
-  let tr = Trace.create () in
-  Kernel.set_tracer k (Some tr);
-  let task =
-    Kernel.create_task k ~name:"traced" (fun () ->
-        Task.Run
-          {
-            ns = us 100;
-            after =
-              (fun () ->
-                Task.Block
-                  {
-                    after =
-                      (fun () -> Task.Run { ns = us 50; after = (fun () -> Task.Exit) });
-                  });
-          })
-  in
-  Kernel.start k task;
-  Kernel.run_until k (ms 1);
-  Kernel.wake k task;
-  Kernel.run_until k (ms 2);
-  let has pred = Trace.filter tr pred <> [] in
-  check_bool "woken" true
-    (has (function Trace.Woken { tid; _ } -> tid = task.Task.tid | _ -> false));
-  check_bool "dispatched" true
-    (has (function
-      | Trace.Dispatch { tid; name; _ } -> tid = task.Task.tid && name = "traced"
-      | _ -> false));
-  check_bool "blocked" true
-    (has (function Trace.Blocked { tid; _ } -> tid = task.Task.tid | _ -> false));
-  check_bool "exited" true
-    (has (function Trace.Exited { tid; _ } -> tid = task.Task.tid | _ -> false));
-  check_bool "idle transitions" true
-    (has (function Trace.Idle _ -> true | _ -> false))
+  with_sink (fun sink ->
+      let k = Kernel.create (machine 2) in
+      let task =
+        Kernel.create_task k ~name:"traced" (fun () ->
+            Task.Run
+              {
+                ns = us 100;
+                after =
+                  (fun () ->
+                    Task.Block
+                      {
+                        after =
+                          (fun () ->
+                            Task.Run { ns = us 50; after = (fun () -> Task.Exit) });
+                      });
+              })
+      in
+      Kernel.start k task;
+      Kernel.run_until k (ms 1);
+      Kernel.wake k task;
+      Kernel.run_until k (ms 2);
+      let evs = List.map snd (sched_events sink) in
+      let has pred = List.exists pred evs in
+      let tid = task.Task.tid in
+      check_bool "woken" true
+        (has (function Obs.Sink.Wake w -> w.tid = tid | _ -> false));
+      check_bool "dispatched" true
+        (has (function
+          | Obs.Sink.Dispatch d -> d.tid = tid && d.name = "traced"
+          | _ -> false));
+      check_bool "blocked" true
+        (has (function Obs.Sink.Block b -> b.tid = tid | _ -> false));
+      check_bool "exited" true
+        (has (function Obs.Sink.Exit x -> x.tid = tid | _ -> false));
+      check_bool "idle transitions" true
+        (has (function Obs.Sink.Idle _ -> true | _ -> false)))
 
 let test_kernel_emits_preemption () =
-  let k = Kernel.create (machine 1) in
-  let tr = Trace.create () in
-  Kernel.set_tracer k (Some tr);
-  let hog = Kernel.create_task k ~name:"hog" (Task.compute_forever ~slice:(us 500)) in
-  Kernel.start k hog;
-  Kernel.run_until k (ms 1);
-  let rt =
-    Kernel.create_task k ~policy:Task.Rt ~name:"rt"
-      (Task.compute_total ~slice:(us 50) ~total:(us 100) (fun () -> Task.Exit))
-  in
-  Kernel.start k rt;
-  Kernel.run_until k (ms 2);
-  check_bool "hog preemption traced" true
-    (Trace.filter tr (function
-       | Trace.Preempted { tid; _ } -> tid = hog.Task.tid
-       | _ -> false)
-    <> [])
+  with_sink (fun sink ->
+      let k = Kernel.create (machine 1) in
+      let hog = Kernel.create_task k ~name:"hog" (Task.compute_forever ~slice:(us 500)) in
+      Kernel.start k hog;
+      Kernel.run_until k (ms 1);
+      let rt =
+        Kernel.create_task k ~policy:Task.Rt ~name:"rt"
+          (Task.compute_total ~slice:(us 50) ~total:(us 100) (fun () -> Task.Exit))
+      in
+      Kernel.start k rt;
+      Kernel.run_until k (ms 2);
+      check_bool "hog preemption traced" true
+        (List.exists
+           (function _, Obs.Sink.Preempt p -> p.tid = hog.Task.tid | _ -> false)
+           (sched_events sink)))
 
 let test_trace_event_order () =
-  (* For a single task, Woken must precede Dispatch. *)
-  let k = Kernel.create (machine 1) in
-  let tr = Trace.create () in
-  Kernel.set_tracer k (Some tr);
-  let task =
-    Kernel.create_task k ~name:"x"
-      (Task.compute_total ~slice:(us 100) ~total:(us 100) (fun () -> Task.Exit))
-  in
-  Kernel.start k task;
-  Kernel.run_until k (ms 1);
-  let times = List.map (fun r -> r.Trace.time) (Trace.records tr) in
-  let rec nondecreasing = function
-    | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
-    | _ -> true
-  in
-  check_bool "timestamps nondecreasing" true (nondecreasing times);
-  let idx pred =
-    let rec go i = function
-      | [] -> -1
-      | r :: rest -> if pred r.Trace.event then i else go (i + 1) rest
-    in
-    go 0 (Trace.records tr)
-  in
-  let woken = idx (function Trace.Woken _ -> true | _ -> false) in
-  let dispatched = idx (function Trace.Dispatch _ -> true | _ -> false) in
-  check_bool "woken before dispatch" true (woken >= 0 && dispatched > woken)
+  (* For a single task, its wakeup must precede its dispatch. *)
+  with_sink (fun sink ->
+      let k = Kernel.create (machine 1) in
+      let task =
+        Kernel.create_task k ~name:"x"
+          (Task.compute_total ~slice:(us 100) ~total:(us 100) (fun () -> Task.Exit))
+      in
+      Kernel.start k task;
+      Kernel.run_until k (ms 1);
+      let evs = sched_events sink in
+      let rec nondecreasing = function
+        | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+        | _ -> true
+      in
+      check_bool "timestamps nondecreasing" true (nondecreasing (List.map fst evs));
+      let idx pred =
+        let rec go i = function
+          | [] -> -1
+          | (_, s) :: rest -> if pred s then i else go (i + 1) rest
+        in
+        go 0 evs
+      in
+      let woken = idx (function Obs.Sink.Wake _ -> true | _ -> false) in
+      let dispatched = idx (function Obs.Sink.Dispatch _ -> true | _ -> false) in
+      check_bool "woken before dispatch" true (woken >= 0 && dispatched > woken))
 
-let test_tracer_detach () =
+let test_sink_detach () =
+  Obs.Metrics.reset ();
+  let sink = Obs.Sink.create () in
+  Obs.Sink.install sink;
   let k = Kernel.create (machine 1) in
-  let tr = Trace.create () in
-  Kernel.set_tracer k (Some tr);
   let t1 =
     Kernel.create_task k ~name:"a"
       (Task.compute_total ~slice:(us 50) ~total:(us 50) (fun () -> Task.Exit))
   in
   Kernel.start k t1;
-  Kernel.run_until k (ms 1);
-  let n = Trace.total tr in
+  Fun.protect ~finally:Obs.Sink.uninstall (fun () -> Kernel.run_until k (ms 1));
+  let n = Obs.Sink.recorded sink in
   check_bool "events recorded" true (n > 0);
-  Kernel.set_tracer k None;
   let t2 =
     Kernel.create_task k ~name:"b"
       (Task.compute_total ~slice:(us 50) ~total:(us 50) (fun () -> Task.Exit))
   in
   Kernel.start k t2;
   Kernel.run_until k (ms 2);
-  check_int "no events after detach" n (Trace.total tr)
+  check_int "no events after uninstall" n (Obs.Sink.recorded sink)
 
 let () =
   Alcotest.run "trace"
     [
-      ( "ring",
-        [
-          Alcotest.test_case "basics and overflow" `Quick test_ring_basics;
-          Alcotest.test_case "iter matches records" `Quick test_iter_matches_records;
-        ] );
       ( "kernel-wiring",
         [
           Alcotest.test_case "lifecycle events" `Quick test_kernel_emits_lifecycle;
           Alcotest.test_case "preemption" `Quick test_kernel_emits_preemption;
           Alcotest.test_case "ordering" `Quick test_trace_event_order;
-          Alcotest.test_case "detach" `Quick test_tracer_detach;
+          Alcotest.test_case "detach" `Quick test_sink_detach;
         ] );
     ]
