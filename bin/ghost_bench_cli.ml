@@ -708,9 +708,19 @@ let cluster_cmd =
       value & opt int 2
       & info [ "machines" ] ~docv:"N" ~doc:"fleet size (default 2)")
   in
+  (* A spec the registry rejects (unknown name or knob, a negative or
+     non-finite time) is a usage error, not an uncaught exception. *)
+  let spec =
+    let parse s =
+      match Policies.Registry.make s with
+      | _ -> Ok s
+      | exception Invalid_argument msg -> Error (`Msg msg)
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let policy_arg =
     Arg.(
-      value & opt string "shinjuku"
+      value & opt spec "shinjuku"
       & info [ "policy" ] ~docv:"SPEC"
           ~doc:
             "policy spec for every machine's serving enclave (registry \

@@ -65,10 +65,15 @@ let to_string t =
 (* --- Parsing ------------------------------------------------------------------ *)
 
 let parse_time s =
+  (* A count whose product overflows is no time: "10000000000s" would
+     otherwise wrap to some other instant. *)
   let suffixed suffix scale =
     let n = String.length s and m = String.length suffix in
     if n > m && String.sub s (n - m) m = suffix then
-      Option.map (fun v -> v * scale) (int_of_string_opt (String.sub s 0 (n - m)))
+      match int_of_string_opt (String.sub s 0 (n - m)) with
+      | Some v when v <= max_int / scale && v >= -(max_int / scale) ->
+        Some (v * scale)
+      | Some _ | None -> None
     else None
   in
   (* "ns" before "s": both end in 's'. *)

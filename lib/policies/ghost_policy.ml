@@ -19,7 +19,9 @@ let value_to_string = function
   | String s -> s
 
 (* "30us" -> Int 30_000; "0.5ms" -> Int 500_000.  Longest suffix first so
-   "ns" is not mistaken for "s". *)
+   "ns" is not mistaken for "s".  A product that is not finite or does not
+   fit an int ("nanus", "1e30s") is no time, so the value stays a string
+   and an int accessor rejects it. *)
 let time_suffixes = [ ("ns", 1.); ("us", 1e3); ("ms", 1e6); ("s", 1e9) ]
 
 let parse_time s =
@@ -27,7 +29,9 @@ let parse_time s =
     let ls = String.length s and lf = String.length suf in
     if ls > lf && String.sub s (ls - lf) lf = suf then
       match float_of_string_opt (String.sub s 0 (ls - lf)) with
-      | Some f -> Some (Int (int_of_float (f *. mult)))
+      | Some f ->
+        let ns = f *. mult in
+        if Float.abs ns < 0x1p62 then Some (Int (int_of_float ns)) else None
       | None -> None
     else None
   in

@@ -58,6 +58,17 @@ let make spec =
       (Printf.sprintf "unknown policy %s (known: %s)" name
          (String.concat ", " (names ())))
   | Some e ->
+    (* A duration is never negative; zero stays valid (it disables some
+       knobs, e.g. search's pending_wait). *)
+    List.iter
+      (fun (k : Dsl.Knob.spec) ->
+        match (k.kind, List.assoc_opt k.key kvs) with
+        | Dsl.Knob.Time, Some (Ghost_policy.Int ns) when ns < 0 ->
+          invalid_arg
+            (Printf.sprintf "policy %s: parameter %s=%dns is a negative time"
+               name k.key ns)
+        | _ -> ())
+      e.knobs;
     let p = P.of_list ~policy:name kvs in
     let policy, stats = e.make p in
     P.finish p;

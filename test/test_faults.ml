@@ -130,6 +130,13 @@ let test_plan_parse_errors () =
   check_bool "unknown kind" true (bad "meteor@5ms");
   check_bool "bad option" true (bad "upgrade@5ms:gap");
   check_bool "bad time" true (bad "crash@5parsecs");
+  check_bool "overflowing time" true (bad "crash@10000000000s");
+  check_bool "overflowing option" true (bad "stall@5ms:for=10000000000s");
+  check_bool "min_int us wraps to 0" true (bad "crash@-4611686018427387904us");
+  check_bool "negative time" true (bad "crash@-5ms");
+  check_bool "negative option" true (bad "slow@5ms:penalty=-1us");
+  check_bool "zero time ok" true (not (bad "crash@0s:jitter=0ns"));
+  check_bool "largest second ok" true (not (bad "crash@4611686018s"));
   check_bool "none ok" true (Plan.parse "none" = Ok Plan.empty);
   check_bool "presets parse" true
     (List.for_all

@@ -50,6 +50,25 @@ let test_registry_rejects () =
     Alcotest.fail "unknown parameter accepted"
   with Invalid_argument _ -> ()
 
+(* Time knobs take finite, non-negative durations that fit an int; an
+   Int knob keeps its plain integer meaning. *)
+let test_registry_rejects_bad_times () =
+  let rejected spec =
+    match Registry.make spec with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun spec -> check_bool spec true (rejected spec))
+    [
+      "shinjuku?timeslice=-5us"; "shinjuku?timeslice=-5"; "shinjuku?timeslice=nanus";
+      "shinjuku?timeslice=infms"; "shinjuku?timeslice=1e30us";
+      "fifo-centralized?timeslice=-1ns"; "adaptive?target_p99=-0.5ms";
+    ];
+  List.iter
+    (fun spec -> check_bool spec false (rejected spec))
+    [ "shinjuku?timeslice=0us"; "search?pending_wait=0"; "adaptive?backlog_hi=0" ]
+
 let test_parse_values () =
   let open Ghost_policy in
   check_bool "30us" true (parse_value "30us" = Int 30_000);
@@ -158,6 +177,8 @@ let () =
             test_registry_make_all_by_name;
           Alcotest.test_case "spec params" `Quick test_registry_params;
           Alcotest.test_case "rejects unknown" `Quick test_registry_rejects;
+          Alcotest.test_case "rejects bad times" `Quick
+            test_registry_rejects_bad_times;
           Alcotest.test_case "value parsing" `Quick test_parse_values;
           Alcotest.test_case "attach + stats publishing" `Quick
             test_registry_attach_and_stats;
