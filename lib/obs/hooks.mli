@@ -66,7 +66,9 @@ val txn_create : now:int -> txn_id:int -> tid:int -> target:int -> eid:int -> un
 val txn_decided :
   now:int -> txn_id:int -> tid:int -> status:string -> committed:bool -> unit
 (** Closes the transaction span with its outcome; observes create→decide
-    latency into [txn.commit_latency_ns] or [txn.fail_latency_ns]. *)
+    latency into [txn.commit_latency_ns] or [txn.fail_latency_ns].  A
+    failure counts into [txn.failed] and into [txn.failed.<status>], the
+    status in lower case ([txn.failed.estale], [txn.failed.ebusy], ...). *)
 
 (** {1 Agents} *)
 

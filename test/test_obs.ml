@@ -281,6 +281,55 @@ let test_disabled_records_nothing () =
   | Obs.Metrics.Counter n -> check_int "no metrics without sink" 0 n
   | _ -> Alcotest.fail "sched.dispatches not a counter"
 
+(* A fastpath run races the kernel's ring picks against the agent's
+   commits, so its transactions fail for more than one reason; every
+   failure lands in exactly one txn.failed.<reason> counter. *)
+let test_txn_failure_reasons () =
+  with_sink (fun _ ->
+      let scn =
+        Scenario.make ~seed:3 ~warmup_ns:(ms 1) ~measure_ns:(ms 6)
+          ~cooldown_ns:(ms 1) ~machine:Hw.Machines.xeon_e5_1s
+          ~enclaves:
+            [
+              Scenario.enclave ~policy:"shinjuku?fastpath=true"
+                ~cpus:(List.init 5 Fun.id)
+                ~workloads:
+                  [
+                    Scenario.Openloop
+                      {
+                        wseed = 11;
+                        rate = 330_000.0;
+                        service = Sim.Dist.Const 10_000.0;
+                        nworkers = 64;
+                        prefix = "worker";
+                      };
+                  ]
+                "serve";
+            ]
+          "txn-reasons"
+      in
+      ignore (Scenario.run scn);
+      let snap = Obs.Metrics.snapshot () in
+      let counter name =
+        match List.assoc_opt name snap with
+        | Some (Obs.Metrics.Counter n) -> n
+        | _ -> 0
+      in
+      let prefix = "txn.failed." in
+      let reasons =
+        List.filter_map
+          (fun (name, v) ->
+            match v with
+            | Obs.Metrics.Counter n when String.starts_with ~prefix name && n > 0 ->
+              Some n
+            | _ -> None)
+          snap
+      in
+      let failed = counter "txn.failed" in
+      check_bool "transactions failed" true (failed > 0);
+      check_bool "more than one reason" true (List.length reasons > 1);
+      check_int "reasons sum to txn.failed" failed (List.fold_left ( + ) 0 reasons))
+
 (* --- Lifecycle instants ------------------------------------------------------- *)
 
 let instant_names sink =
@@ -471,6 +520,8 @@ let () =
       ( "instrumentation",
         [
           Alcotest.test_case "cross-layer spans" `Quick test_cross_layer_spans;
+          Alcotest.test_case "txn failures by reason" `Quick
+            test_txn_failure_reasons;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_records_nothing;
         ] );
