@@ -40,7 +40,8 @@ val infos : unit -> info list
 
 val make : string -> Ghost_policy.instance
 (** Instantiate from a spec string.  Raises [Invalid_argument] for unknown
-    policies, unknown parameters, or ill-typed values. *)
+    policies, unknown parameters, ill-typed values, or a negative value of
+    a Time knob. *)
 
 val attach :
   ?min_iteration:int ->
