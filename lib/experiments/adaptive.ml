@@ -26,16 +26,19 @@ let serving_cpus = List.init 12 (fun i -> i)
 
 (* Offered load: low - surge - low, switched by the controller so both
    variants see the identical arrival process. *)
-let phase_rate ~warmup ~now ~low ~high =
+let low = 60_000.
+let high = 200_000.
+
+let phase_rate ~warmup ~now =
   if now >= warmup + ms 100 && now < warmup + ms 200 then high else low
 
-let scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~frozen =
+let scenario ~seed ~warmup_ns ~measure_ns ~frozen =
   let tick (live : Scenario.live) =
     let serving = Scenario.find live "serving" in
     let now = Scenario.now live in
     match Scenario.openloop serving with
     | Some ol ->
-      let r = phase_rate ~warmup:warmup_ns ~now ~low ~high in
+      let r = phase_rate ~warmup:warmup_ns ~now in
       if Workloads.Openloop.rate ol <> r then Workloads.Openloop.set_rate ol r
     | None -> ()
   in
@@ -57,11 +60,11 @@ let scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~frozen =
       ]
     (if frozen then "adaptive-static" else "adaptive-live")
 
-let run_side ~seed ~warmup_ns ~measure_ns ~low ~high ~frozen =
+let run_side ~seed ~warmup_ns ~measure_ns ~frozen =
   (* The policy steers on its own cumulative Obs metrics: zero them so the
      second side does not read the first side's histogram. *)
   Obs.Metrics.reset ();
-  let s = scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~frozen in
+  let s = scenario ~seed ~warmup_ns ~measure_ns ~frozen in
   let rep = Scenario.run s in
   let serving = Scenario.enclave_report rep "serving" in
   let lat f =
@@ -85,9 +88,8 @@ let run_side ~seed ~warmup_ns ~measure_ns ~low ~high ~frozen =
     final_slice_us = float_of_int (stat "slice_ns") /. 1e3;
   }
 
-let run ?(seed = 42) ?(warmup_ns = ms 100) ?(measure_ns = ms 300)
-    ?(low = 60_000.) ?(high = 200_000.) () =
-  let side frozen = run_side ~seed ~warmup_ns ~measure_ns ~low ~high ~frozen in
+let run ?(seed = 42) ?(warmup_ns = ms 100) ?(measure_ns = ms 300) () =
+  let side frozen = run_side ~seed ~warmup_ns ~measure_ns ~frozen in
   let adaptive = side false in
   let static_ = side true in
   { adaptive; static_ }

@@ -24,8 +24,6 @@ val run :
   ?seed:int ->
   ?warmup_ns:int ->
   ?measure_ns:int ->
-  ?low:float ->
-  ?high:float ->
   unit ->
   result
 (** Defaults: seed 42, 100 ms warmup, 300 ms measure (low / surge / low in

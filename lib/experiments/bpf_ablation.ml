@@ -25,7 +25,7 @@ let wd_hist () =
   | Some _ | None ->
     { Obs.Metrics.count = 0; sum = 0; mean = 0.0; p50 = 0; p90 = 0; p99 = 0; max = 0 }
 
-let run_one ~seed ~fastpath ~duration_ns ~rate =
+let run_one ~seed ~fastpath ~duration_ns =
   let machine = Hw.Machines.xeon_e5_1s in
   let kernel, sys = Common.make_system ~seed machine in
   (* A small enclave (agent + 4 worker CPUs) driven near saturation: the
@@ -44,7 +44,7 @@ let run_one ~seed ~fastpath ~duration_ns ~rate =
   in
   let warmup = Sim.Units.ms 100 in
   let ol =
-    Workloads.Openloop.create kernel ~seed:5 ~rate
+    Workloads.Openloop.create kernel ~seed:5 ~rate:330_000.0
       ~service:(Sim.Dist.Const 10_000.0) ~nworkers:64 ~spawn
   in
   Workloads.Openloop.set_record_after ol warmup;
@@ -83,10 +83,10 @@ let run_one ~seed ~fastpath ~duration_ns ~rate =
     minor_words;
   }
 
-let run ?(duration_ns = Sim.Units.ms 500) ?(rate = 330_000.0) ?(seed = 42) () =
+let run ?(duration_ns = Sim.Units.ms 500) ?(seed = 42) () =
   [
-    run_one ~seed ~fastpath:false ~duration_ns ~rate;
-    run_one ~seed ~fastpath:true ~duration_ns ~rate;
+    run_one ~seed ~fastpath:false ~duration_ns;
+    run_one ~seed ~fastpath:true ~duration_ns;
   ]
 
 (* The no-program control: the exact configuration (and numbers) the engine

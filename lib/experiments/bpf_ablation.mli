@@ -28,7 +28,7 @@ type row = {
           deterministic count for a given build, not a simulated cost. *)
 }
 
-val run : ?duration_ns:int -> ?rate:float -> ?seed:int -> unit -> row list
+val run : ?duration_ns:int -> ?seed:int -> unit -> row list
 (** [agent-only; fastpath] rows under identical offered traffic. *)
 
 val print : row list -> unit

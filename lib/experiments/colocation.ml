@@ -33,10 +33,13 @@ let batch_cpus = List.init 12 (fun i -> i + 12)
 
 (* Offered load: low - surge - low, switched by the controller so both
    variants see the identical arrival process. *)
-let phase_rate ~warmup ~now ~low ~high =
+let low = 60_000.
+let high = 200_000.
+
+let phase_rate ~warmup ~now =
   if now >= warmup + ms 100 && now < warmup + ms 200 then high else low
 
-let scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic ~moves =
+let scenario ~seed ~warmup_ns ~measure_ns ~dynamic ~moves =
   let lent = ref [] in
   let calm = ref 0 in
   let tick (live : Scenario.live) =
@@ -44,7 +47,7 @@ let scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic ~moves =
     let now = Scenario.now live in
     (match Scenario.openloop serving with
     | Some ol ->
-      let r = phase_rate ~warmup:warmup_ns ~now ~low ~high in
+      let r = phase_rate ~warmup:warmup_ns ~now in
       if Workloads.Openloop.rate ol <> r then Workloads.Openloop.set_rate ol r
     | None -> ());
     if dynamic then begin
@@ -102,9 +105,9 @@ let scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic ~moves =
       ]
     (if dynamic then "colocation-dynamic" else "colocation-static")
 
-let run_side ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic =
+let run_side ~seed ~warmup_ns ~measure_ns ~dynamic =
   let moves = ref 0 in
-  let s = scenario ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic ~moves in
+  let s = scenario ~seed ~warmup_ns ~measure_ns ~dynamic ~moves in
   let rep = Scenario.run s in
   let serving = Scenario.enclave_report rep "serving" in
   let batch = Scenario.enclave_report rep "batch" in
@@ -124,9 +127,8 @@ let run_side ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic =
     moves = !moves;
   }
 
-let run ?(seed = 42) ?(warmup_ns = ms 100) ?(measure_ns = ms 300)
-    ?(low = 60_000.) ?(high = 200_000.) () =
-  let side dynamic = run_side ~seed ~warmup_ns ~measure_ns ~low ~high ~dynamic in
+let run ?(seed = 42) ?(warmup_ns = ms 100) ?(measure_ns = ms 300) () =
+  let side dynamic = run_side ~seed ~warmup_ns ~measure_ns ~dynamic in
   { dynamic = side true; static_ = side false }
 
 let print r =

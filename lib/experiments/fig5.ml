@@ -2,7 +2,9 @@ type point = { cpus : int; txns_per_sec : float }
 
 (* Two short yield-looping threads per worker CPU keep the FIFO non-empty
    so every idle CPU immediately receives a transaction. *)
-let measure_point machine ~seed ~thread_ns ~measure_ns ~n =
+let thread_ns = 20_000
+
+let measure_point machine ~seed ~measure_ns ~n =
   let order = Hw.Machines.fig5_sweep_order machine 0 in
   let workers = List.filteri (fun i _ -> i < n) order in
   let s =
@@ -28,7 +30,7 @@ let sweep_points max_n =
   let sparse = upto [] 12 in
   List.sort_uniq compare (List.filter (fun n -> n <= max_n) (dense @ sparse) @ [ max_n ])
 
-let run ?(thread_ns = 20_000) ?(measure_ns = 50_000_000)
+let run ?(measure_ns = 50_000_000)
     ?(machines = [ Hw.Machines.skylake_2s; Hw.Machines.haswell_2s ])
     ?(seed = 42) () =
   List.map
@@ -36,7 +38,7 @@ let run ?(thread_ns = 20_000) ?(measure_ns = 50_000_000)
       let max_n = Hw.Topology.num_cpus machine.Hw.Machines.topo - 1 in
       let points =
         List.map
-          (fun n -> measure_point machine ~seed ~thread_ns ~measure_ns ~n)
+          (fun n -> measure_point machine ~seed ~measure_ns ~n)
           (sweep_points max_n)
       in
       (machine.Hw.Machines.name, points))

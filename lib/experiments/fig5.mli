@@ -12,7 +12,6 @@
 type point = { cpus : int; txns_per_sec : float }
 
 val run :
-  ?thread_ns:int ->
   ?measure_ns:int ->
   ?machines:Hw.Machines.t list ->
   ?seed:int ->

@@ -104,10 +104,9 @@ let run_ghost ~seed ~rate ~with_batch ~warmup_ns ~measure_ns =
     (run_ghost_plan ~seed ~rate ~with_batch ~warmup_ns ~measure_ns
        ~plan:Faults.Plan.empty)
 
-let run_ghost_faulted ?(rate = 240_000.) ?(with_batch = false)
-    ?(warmup_ns = Sim.Units.ms 200) ?(measure_ns = Sim.Units.ms 800)
-    ?(seed = 42) ~plan () =
-  run_ghost_plan ~seed ~rate ~with_batch ~warmup_ns ~measure_ns ~plan
+let run_ghost_faulted ?(measure_ns = Sim.Units.ms 800) ?(seed = 42) ~plan () =
+  run_ghost_plan ~seed ~rate:240_000. ~with_batch:false
+    ~warmup_ns:(Sim.Units.ms 200) ~measure_ns ~plan
 
 (* --- CFS-Shinjuku -------------------------------------------------------------- *)
 
@@ -155,7 +154,7 @@ let run_cfs ~seed ~rate ~with_batch ~warmup_ns ~measure_ns =
 
 let run ?(rates = default_rates) ?(with_batch = false)
     ?(warmup_ns = Sim.Units.ms 200) ?(measure_ns = Sim.Units.ms 800)
-    ?(seed = 42) ?nworkers:_ () =
+    ?(seed = 42) () =
   List.concat_map
     (fun rate ->
       [

@@ -34,22 +34,19 @@ val run :
   ?warmup_ns:int ->
   ?measure_ns:int ->
   ?seed:int ->
-  ?nworkers:int ->
   unit ->
   point list
 
 val run_ghost_faulted :
-  ?rate:float ->
-  ?with_batch:bool ->
-  ?warmup_ns:int ->
   ?measure_ns:int ->
   ?seed:int ->
   plan:Faults.Plan.t ->
   unit ->
   point * Faults.Report.t
 (** One ghOSt-Shinjuku point with a fault plan armed against its enclave
-    (replacement for [Upgrade] events is a fresh Shinjuku agent).  Default
-    rate 240 kq/s — just below saturation, where a disturbance shows. *)
+    (replacement for [Upgrade] events is a fresh Shinjuku agent), at
+    240 kq/s — just below saturation, where a disturbance shows — after a
+    200 ms warmup. *)
 
 val print : title:string -> point list -> unit
 

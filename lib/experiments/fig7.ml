@@ -15,7 +15,7 @@ let sched_name = function Microquanta -> "microquanta" | Ghost_snap -> "ghost"
 let socket0_cpus kernel =
   Hw.Topology.cpus_of_socket (Kernel.topo kernel) 0
 
-let run_one ~sched ~seed ~loaded ~duration_ns ~warmup_ns ~nworkers =
+let run_one ~sched ~seed ~loaded ~duration_ns ~warmup_ns =
   let machine = Hw.Machines.skylake_2s in
   let kernel, sys = Common.make_system ~seed machine in
   let cpus = socket0_cpus kernel in
@@ -39,7 +39,7 @@ let run_one ~sched ~seed ~loaded ~duration_ns ~warmup_ns ~nworkers =
     | None -> Common.spawn_mq kernel ~affinity:mask ~name behavior
   in
   let net =
-    Workloads.Snapnet.create kernel ~seed:11 ~nworkers ~nservers:6 ~spawn_worker ()
+    Workloads.Snapnet.create kernel ~seed:11 ~nworkers:8 ~nservers:6 ~spawn_worker ()
   in
   (* Periodic daemons preempt workers in quiet mode (§4.3). *)
   Workloads.Snapnet.add_daemons net ~n:12 ~period:(Sim.Units.ms 1)
@@ -72,9 +72,9 @@ let run_one ~sched ~seed ~loaded ~duration_ns ~warmup_ns ~nworkers =
   ]
 
 let run ?(loaded = false) ?(duration_ns = Sim.Units.sec 3)
-    ?(warmup_ns = Sim.Units.ms 200) ?(nworkers = 8) ?(seed = 42) () =
-  run_one ~sched:Microquanta ~seed ~loaded ~duration_ns ~warmup_ns ~nworkers
-  @ run_one ~sched:Ghost_snap ~seed ~loaded ~duration_ns ~warmup_ns ~nworkers
+    ?(warmup_ns = Sim.Units.ms 200) ?(seed = 42) () =
+  run_one ~sched:Microquanta ~seed ~loaded ~duration_ns ~warmup_ns
+  @ run_one ~sched:Ghost_snap ~seed ~loaded ~duration_ns ~warmup_ns
 
 let print ~title rows =
   Gstats.Table.print_title title;

@@ -21,7 +21,6 @@ val run :
   ?loaded:bool ->
   ?duration_ns:int ->
   ?warmup_ns:int ->
-  ?nworkers:int ->
   ?seed:int ->
   unit ->
   row list

@@ -16,12 +16,12 @@ let label_of = function
   | Ghost_ticks -> "ghost (ticks on)"
   | Ghost_tickless -> "ghost (tick-less)"
 
-let run_one mode ~seed ~duration_ns ~tick_exit_ns =
+let run_one mode ~seed ~duration_ns =
   let machine =
     {
       Hw.Machines.skylake_2s with
       Hw.Machines.name = "skylake-vmexit";
-      costs = { Hw.Costs.skylake with Hw.Costs.tick_interrupt = tick_exit_ns };
+      costs = { Hw.Costs.skylake with Hw.Costs.tick_interrupt = 5_000 };
     }
   in
   let kernel, sys = Common.make_system ~seed machine in
@@ -61,10 +61,9 @@ let run_one mode ~seed ~duration_ns ~tick_exit_ns =
     throughput_kqps = Workloads.Recorder.throughput r ~duration:duration_ns /. 1e3;
   }
 
-let run ?(duration_ns = Sim.Units.ms 500) ?(tick_exit_ns = 5_000) ?(seed = 42)
-    () =
+let run ?(duration_ns = Sim.Units.ms 500) ?(seed = 42) () =
   List.map
-    (fun mode -> run_one mode ~seed ~duration_ns ~tick_exit_ns)
+    (fun mode -> run_one mode ~seed ~duration_ns)
     [ Cfs_ticks; Ghost_ticks; Ghost_tickless ]
 
 let print rows =

@@ -15,7 +15,7 @@ type row = {
   throughput_kqps : float;
 }
 
-val run : ?duration_ns:int -> ?tick_exit_ns:int -> ?seed:int -> unit -> row list
-(** [tick_exit_ns] is the per-tick VM-exit cost (default 5 us). *)
+val run : ?duration_ns:int -> ?seed:int -> unit -> row list
+(** Each host timer tick costs the guest a 5 us VM exit. *)
 
 val print : row list -> unit

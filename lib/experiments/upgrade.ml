@@ -28,11 +28,13 @@ let machine =
   }
 
 let service = Sim.Dist.Exponential 10_000.0
+let rate = 400_000.0
+let handoff_gap = 100_000
 
 (* One run of the serving stack with [plan] armed.  Returns the completion
    samples [(completion_time, latency)] in completion order plus the
    injector's recovery report. *)
-let run_one ~seed ~rate ~warmup_ns ~measure_ns ~plan =
+let run_one ~seed ~warmup_ns ~measure_ns ~plan =
   let kernel, sys = Common.make_system ~seed machine in
   let e =
     System.create_enclave sys ~watchdog_timeout:(ms 50)
@@ -110,9 +112,10 @@ let windows_of samples ~t0 ~window_ns ~nwindows =
 
 (* --- The experiment ----------------------------------------------------------- *)
 
-let run ?(seed = 42) ?(rate = 400_000.0) ?(warmup_ns = ms 50)
-    ?(measure_ns = ms 300) ?(upgrade_offset = ms 100) ?(handoff_gap = 100_000)
-    ?(window_ns = ms 10) ?plan () =
+let warmup_ns = ms 50
+
+let run ?(seed = 42) ?(measure_ns = ms 300) ?(upgrade_offset = ms 100) ?plan () =
+  let window_ns = ms 10 in
   let upgrade_at = warmup_ns + upgrade_offset in
   let plan =
     match plan with
@@ -122,9 +125,9 @@ let run ?(seed = 42) ?(rate = 400_000.0) ?(warmup_ns = ms 50)
         [ { at = upgrade_at; jitter = 0; kind = Upgrade { handoff_gap; abi = None } } ]
   in
   let base_samples, _ =
-    run_one ~seed ~rate ~warmup_ns ~measure_ns ~plan:Faults.Plan.empty
+    run_one ~seed ~warmup_ns ~measure_ns ~plan:Faults.Plan.empty
   in
-  let fault_samples, report = run_one ~seed ~rate ~warmup_ns ~measure_ns ~plan in
+  let fault_samples, report = run_one ~seed ~warmup_ns ~measure_ns ~plan in
   let nwindows = measure_ns / window_ns in
   let baseline =
     windows_of base_samples ~t0:warmup_ns ~window_ns ~nwindows
@@ -196,8 +199,7 @@ type rejected = {
           agent-crash grace period — the §3.4 failure containment story. *)
 }
 
-let run_rejected ?(seed = 42) ?(rate = 400_000.0) ?(warmup_ns = ms 50)
-    ?(measure_ns = ms 100) ?(upgrade_offset = ms 50) ?(handoff_gap = 100_000) () =
+let run_rejected ?(seed = 42) ?(measure_ns = ms 100) ?(upgrade_offset = ms 50) () =
   let rej_abi = Ghost.Abi.version + 1 in
   let upgrade_at = warmup_ns + upgrade_offset in
   let plan =
@@ -210,7 +212,7 @@ let run_rejected ?(seed = 42) ?(rate = 400_000.0) ?(warmup_ns = ms 50)
         };
       ]
   in
-  let _, rej_report = run_one ~seed ~rate ~warmup_ns ~measure_ns ~plan in
+  let _, rej_report = run_one ~seed ~warmup_ns ~measure_ns ~plan in
   let rejected_ok =
     rej_report.Faults.Report.rejected_at <> None
     && rej_report.Faults.Report.replaced_at = None

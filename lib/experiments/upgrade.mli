@@ -38,12 +38,8 @@ type result = {
 
 val run :
   ?seed:int ->
-  ?rate:float ->
-  ?warmup_ns:int ->
   ?measure_ns:int ->
   ?upgrade_offset:int ->
-  ?handoff_gap:int ->
-  ?window_ns:int ->
   ?plan:Faults.Plan.t ->
   unit ->
   result
@@ -72,11 +68,8 @@ type rejected = {
 
 val run_rejected :
   ?seed:int ->
-  ?rate:float ->
-  ?warmup_ns:int ->
   ?measure_ns:int ->
   ?upgrade_offset:int ->
-  ?handoff_gap:int ->
   unit ->
   rejected
 (** Defaults: seed 42, 400 kq/s, 50 ms warm-up, 100 ms measured, upgrade
