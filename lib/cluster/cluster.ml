@@ -57,8 +57,12 @@ let make ?serve ?arrivals ?(routing = Balancer.Round_robin)
       if s.Scenario.trace <> None then
         invalid_arg "Cluster.make: machine scenarios must not set trace")
     machines;
-  if arrivals <> None && serve = None then
-    invalid_arg "Cluster.make: arrivals need a serve pool";
+  (match arrivals with
+  | Some _ when serve = None ->
+    invalid_arg "Cluster.make: arrivals need a serve pool"
+  | Some a when not (a.rate > 0.0 && Float.is_finite a.rate) ->
+    invalid_arg "Cluster.make: arrival rate must be finite and positive"
+  | _ -> ());
   { name; machines; serve; arrivals; routing; net; gossip_period_ns;
     control_period_ns }
 

@@ -44,8 +44,8 @@ val make :
   t
 (** Validates the fleet: at least one machine, all machines sharing the
     same warmup/measure/cooldown windows, no per-machine [trace] (traces
-    are owned by the cluster harness), and [arrivals] only with [serve].
-    Raises [Invalid_argument] otherwise. *)
+    are owned by the cluster harness), and [arrivals] only with [serve]
+    and a finite, positive rate.  Raises [Invalid_argument] otherwise. *)
 
 type machine_report = {
   mid : int;

@@ -117,6 +117,8 @@ type t = {
 let make ?(seed = 42) ?(warmup_ns = 0) ?(cooldown_ns = 0) ?controller ?trace
     ~machine ~measure_ns ~enclaves name =
   if enclaves = [] then invalid_arg "Scenario.make: no enclaves";
+  if warmup_ns < 0 || measure_ns < 0 || cooldown_ns < 0 then
+    invalid_arg "Scenario.make: negative window";
   { name; machine; seed; warmup_ns; measure_ns; cooldown_ns; enclaves;
     controller; trace }
 

@@ -118,6 +118,7 @@ val make :
   enclaves:enclave_spec list ->
   string ->
   t
+(** Raises [Invalid_argument] with no enclaves or a negative window. *)
 
 (** {1 Reports} *)
 

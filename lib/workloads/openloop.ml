@@ -24,7 +24,8 @@ let set_record_after t time = t.record_after <- time
 let rate t = t.rate
 
 let set_rate t rate =
-  if rate <= 0.0 then invalid_arg "Openloop.set_rate: rate must be positive";
+  if not (rate > 0.0 && Float.is_finite rate) then
+    invalid_arg "Openloop.set_rate: rate must be finite and positive";
   t.rate <- rate
 let set_on_complete t fn = t.on_complete <- fn
 
@@ -47,7 +48,8 @@ let start t ~until =
   ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float first)) tick)
 
 let create kernel ~seed ~rate ~service ~nworkers ~spawn =
-  if rate <= 0.0 then invalid_arg "Openloop.create: rate must be positive";
+  if not (rate > 0.0 && Float.is_finite rate) then
+    invalid_arg "Openloop.create: rate must be finite and positive";
   let t =
     {
       kernel;

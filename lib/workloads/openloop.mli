@@ -20,7 +20,8 @@ val create :
   t
 (** [spawn] creates (and starts or registers) each worker thread from its
     behaviour — the caller decides the scheduling class (CFS vs ghOSt
-    enclave), affinity and naming. *)
+    enclave), affinity and naming.  Raises [Invalid_argument] unless
+    [rate] is finite and positive. *)
 
 val start : t -> until:int -> unit
 (** Generate arrivals from now until the given virtual time. *)
@@ -32,7 +33,8 @@ val rate : t -> float
 
 val set_rate : t -> float -> unit
 (** Change the offered load mid-run (phased load experiments).  Takes
-    effect from the next inter-arrival draw. *)
+    effect from the next inter-arrival draw.  The rate must be finite and
+    positive, as for {!create}. *)
 
 val set_on_complete : t -> (now:int -> arrival:int -> unit) option -> unit
 (** Extra per-completion callback (after warm-up filtering) — lets a harness

@@ -397,7 +397,20 @@ let test_cluster_make_validation () =
            ~arrivals:
              { Cluster.aseed = 1; rate = 1.0;
                service = Sim.Dist.Exponential 1.0 }
-           "x"))
+           "x"));
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "arrival rate %g" rate)
+        (Invalid_argument "Cluster.make: arrival rate must be finite and positive")
+        (fun () ->
+          ignore
+            (Cluster.make ~machines:[| scn "a" |]
+               ~serve:{ Cluster.Machine.enclave = "serve"; nworkers = 4 }
+               ~arrivals:
+                 { Cluster.aseed = 1; rate; service = Sim.Dist.Exponential 1.0 }
+               "x")))
+    [ Float.nan; Float.infinity; 0.0; -1.0 ]
 
 let () =
   Alcotest.run "cluster"

@@ -110,6 +110,24 @@ let test_openloop_warmup_filter () =
   let offered = Workloads.Openloop.offered ol in
   check_bool "warmup excluded" true (recorded < offered && recorded > offered / 3)
 
+(* A rate the arrival clock cannot step by (no gap, or an infinite one) is
+   refused when the generator is built, not by a run that never ends. *)
+let test_openloop_rejects_bad_rates () =
+  let k = Kernel.create (machine 2) in
+  let create rate =
+    Workloads.Openloop.create k ~seed:3 ~rate ~service:(Sim.Dist.Const 2_000.0)
+      ~nworkers:1 ~spawn:(fun ~idx b -> spawn_cfs k ~prefix:"w" ~idx b)
+  in
+  let ol = create 10_000.0 in
+  let bad fn = Invalid_argument (fn ^ ": rate must be finite and positive") in
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "create %g" rate)
+        (bad "Openloop.create") (fun () -> ignore (create rate));
+      Alcotest.check_raises (Printf.sprintf "set_rate %g" rate)
+        (bad "Openloop.set_rate") (fun () -> Workloads.Openloop.set_rate ol rate))
+    [ Float.nan; Float.infinity; 0.0; -5.0 ]
+
 (* --- Batch ------------------------------------------------------------------ *)
 
 let test_batch_share () =
@@ -245,6 +263,8 @@ let () =
         [
           Alcotest.test_case "rate and latency" `Quick test_openloop_rate_and_latency;
           Alcotest.test_case "warmup filter" `Quick test_openloop_warmup_filter;
+          Alcotest.test_case "rejects bad rates" `Quick
+            test_openloop_rejects_bad_rates;
         ] );
       ("batch", [ Alcotest.test_case "share" `Quick test_batch_share ]);
       ("snapnet", [ Alcotest.test_case "pipeline" `Quick test_snapnet_pipeline ]);
