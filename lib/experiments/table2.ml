@@ -40,20 +40,7 @@ let count_files root paths =
   in
   if total = 0 then None else Some total
 
-(* Default root: walk up from cwd until dune-project is found, so the
-   counts work from `dune runtest` / `dune exec` sandboxed directories. *)
-let discover_root () =
-  let rec up dir depth =
-    if depth > 8 then "."
-    else if Sys.file_exists (Filename.concat dir "dune-project")
-            && Sys.file_exists (Filename.concat dir "lib")
-    then dir
-    else up (Filename.concat dir Filename.parent_dir_name) (depth + 1)
-  in
-  up (Sys.getcwd ()) 0
-
-let run ?root () =
-  let root = match root with Some r -> r | None -> discover_root () in
+let run ?(root = ".") () =
   let c = count_files root in
   [
     { component = "Linux CFS (kernel/sched/fair.c)"; paper_loc = Some 6217;
