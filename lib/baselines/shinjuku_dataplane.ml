@@ -5,8 +5,6 @@ type t = {
   rng : Sim.Rng.t;
   nworkers : int;
   timeslice : int;
-  dispatch_cost : int;
-  preempt_cost : int;
   fifo : req Queue.t;
   mutable free_workers : int;
   rec_ : Workloads.Recorder.t;
@@ -24,12 +22,16 @@ let complete t req =
   if req.arrival >= t.record_after then
     Workloads.Recorder.record t.rec_ ~now ~arrival:req.arrival
 
+(* A dispatch is a cache-line ping; a preemption a Dune posted interrupt. *)
+let dispatch_cost = 600
+let preempt_cost = 2_000
+
 (* Run [req] on a worker for up to one timeslice; at expiry the dispatcher
    posts an interrupt and the request returns to the FIFO tail. *)
 let rec run_on_worker t req =
   let slice = min req.remaining t.timeslice in
   let expiring = req.remaining > t.timeslice in
-  let busy = t.dispatch_cost + slice + if expiring then t.preempt_cost else 0 in
+  let busy = dispatch_cost + slice + if expiring then preempt_cost else 0 in
   ignore
     (Sim.Engine.post_in t.engine ~delay:busy (fun () ->
          req.remaining <- req.remaining - slice;
@@ -60,16 +62,13 @@ let start t ~rate ~service ~until =
   in
   ignore (Sim.Engine.post_in t.engine ~delay:1 tick)
 
-let create engine ~seed ~nworkers ?(timeslice = 30_000) ?(dispatch_cost = 600)
-    ?(preempt_cost = 2_000) () =
+let create engine ~seed ~nworkers ?(timeslice = 30_000) () =
   if nworkers <= 0 then invalid_arg "Shinjuku_dataplane.create: need workers";
   {
     engine;
     rng = Sim.Rng.create seed;
     nworkers;
     timeslice;
-    dispatch_cost;
-    preempt_cost;
     fifo = Queue.create ();
     free_workers = nworkers;
     rec_ = Workloads.Recorder.create ();

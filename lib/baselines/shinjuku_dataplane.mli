@@ -18,11 +18,10 @@ val create :
   seed:int ->
   nworkers:int ->
   ?timeslice:int ->
-  ?dispatch_cost:int ->
-  ?preempt_cost:int ->
   unit ->
   t
-(** Defaults: 30 us timeslice, 600 ns dispatch, 2 us preemption. *)
+(** [timeslice] defaults to 30 us.  A dispatch costs 600 ns and a
+    preemption 2 us. *)
 
 val start : t -> rate:float -> service:Sim.Dist.t -> until:int -> unit
 val set_record_after : t -> int -> unit

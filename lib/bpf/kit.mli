@@ -15,9 +15,6 @@ val meta_head : int
 val meta_tail : int
 val conf_slice : int
 
-(** [ring_maps cap] — the two ring map declarations for capacity [cap]. *)
-val ring_maps : int -> Prog.map_decl list
-
 (** Pick-hook program: pop the next tid off the shared ring, declining
     when empty.  [cap] must be a power of two. *)
 val ring_pick : cap:int -> Prog.t

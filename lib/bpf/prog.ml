@@ -12,8 +12,6 @@ let nhooks = 3
 
 let hook_index = function Wakeup -> 0 | Tick -> 1 | Pick -> 2
 
-let hook_name = function Wakeup -> "wakeup" | Tick -> "tick" | Pick -> "pick"
-
 type alu = Add | Sub | Mul | And | Or | Xor | Lsl | Lsr
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge

@@ -20,7 +20,6 @@ type hook =
 
 val nhooks : int
 val hook_index : hook -> int
-val hook_name : hook -> string
 
 (** ALU operations.  Register-operand [Lsl]/[Lsr] are rejected by the
     verifier (unbounded shift); the immediate forms are allowed. *)

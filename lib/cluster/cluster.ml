@@ -34,14 +34,13 @@ type t = {
   serve : Machine.serve option;
   arrivals : arrivals option;
   routing : Balancer.mode;
-  net : Hw.Net.t;
   gossip_period_ns : int;
   control_period_ns : int;
 }
 
 let make ?serve ?arrivals ?(routing = Balancer.Round_robin)
-    ?(net = Hw.Net.rack) ?(gossip_period_ns = Sim.Units.ms 1)
-    ?(control_period_ns = Sim.Units.ms 1) ~machines name =
+    ?(gossip_period_ns = Sim.Units.ms 1) ?(control_period_ns = Sim.Units.ms 1)
+    ~machines name =
   let n = Array.length machines in
   if n = 0 then invalid_arg "Cluster.make: no machines";
   let w0 = machines.(0).Scenario.warmup_ns
@@ -53,9 +52,7 @@ let make ?serve ?arrivals ?(routing = Balancer.Round_robin)
          || s.Scenario.cooldown_ns <> c0
       then
         invalid_arg
-          "Cluster.make: machines must share warmup/measure/cooldown windows";
-      if s.Scenario.trace <> None then
-        invalid_arg "Cluster.make: machine scenarios must not set trace")
+          "Cluster.make: machines must share warmup/measure/cooldown windows")
     machines;
   (match arrivals with
   | Some _ when serve = None ->
@@ -63,7 +60,7 @@ let make ?serve ?arrivals ?(routing = Balancer.Round_robin)
   | Some a when not (a.rate > 0.0 && Float.is_finite a.rate) ->
     invalid_arg "Cluster.make: arrival rate must be finite and positive"
   | _ -> ());
-  { name; machines; serve; arrivals; routing; net; gossip_period_ns;
+  { name; machines; serve; arrivals; routing; gossip_period_ns;
     control_period_ns }
 
 (* --- Reports ----------------------------------------------------------------- *)
@@ -175,7 +172,7 @@ let run (c : t) =
         let target = Balancer.pick balancer in
         let req = { Machine.arrival = now; service_ns } in
         ignore
-          (Sim.Lanes.post lanes ~lane:target ~time:(now + c.net.Hw.Net.rpc_ns)
+          (Sim.Lanes.post lanes ~lane:target ~time:(now + Hw.Net.rack.rpc_ns)
              (fun () -> Machine.submit machines.(target) req));
         ignore
           (Sim.Engine.post_in coord ~delay:(Sim.Dist.sample_ns arr_rng gap)
@@ -195,7 +192,7 @@ let run (c : t) =
             let depth = Machine.depth m in
             ignore
               (Sim.Lanes.post lanes ~lane:coord_lane
-                 ~time:(now + c.net.Hw.Net.gossip_ns) (fun () ->
+                 ~time:(now + Hw.Net.rack.gossip_ns) (fun () ->
                    Fleet.note_signal ctrl ~mid:m.Machine.mid ~depth));
             ignore (Sim.Engine.post_in e ~delay:c.gossip_period_ns gossip)
           end

@@ -27,7 +27,6 @@ type t = {
   serve : Machine.serve option;
   arrivals : arrivals option;
   routing : Balancer.mode;
-  net : Hw.Net.t;
   gossip_period_ns : int;
   control_period_ns : int;
 }
@@ -36,16 +35,15 @@ val make :
   ?serve:Machine.serve ->
   ?arrivals:arrivals ->
   ?routing:Balancer.mode ->
-  ?net:Hw.Net.t ->
   ?gossip_period_ns:int ->
   ?control_period_ns:int ->
   machines:Scenario.t array ->
   string ->
   t
 (** Validates the fleet: at least one machine, all machines sharing the
-    same warmup/measure/cooldown windows, no per-machine [trace] (traces
-    are owned by the cluster harness), and [arrivals] only with [serve]
-    and a finite, positive rate.  Raises [Invalid_argument] otherwise. *)
+    same warmup/measure/cooldown windows, and [arrivals] only with [serve]
+    and a finite, positive rate.  Raises [Invalid_argument] otherwise.
+    Messages pay {!Hw.Net.rack}'s latencies. *)
 
 type machine_report = {
   mid : int;

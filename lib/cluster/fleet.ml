@@ -12,17 +12,14 @@
 type t = {
   signals : int array;  (* latest gossiped depth per machine (after net delay) *)
   target : float array;  (* scratch: this period's target weights *)
-  smoothing : float;  (* fraction of the gap closed per period *)
   mutable rebalances : int;  (* periods where weights materially moved *)
 }
 
-let create ?(smoothing = 0.3) n =
-  {
-    signals = Array.make n 0;
-    target = Array.make n 0.0;
-    smoothing;
-    rebalances = 0;
-  }
+(* Fraction of the gap to the target weights closed per period. *)
+let smoothing = 0.3
+
+let create n =
+  { signals = Array.make n 0; target = Array.make n 0.0; rebalances = 0 }
 
 let note_signal t ~mid ~depth = t.signals.(mid) <- depth
 let rebalances t = t.rebalances
@@ -42,7 +39,7 @@ let rebalance t balancer =
   let next = Array.make n 0.0 in
   for i = 0 to n - 1 do
     let tgt = t.target.(i) /. !total in
-    let v = w.(i) +. (t.smoothing *. (tgt -. w.(i))) in
+    let v = w.(i) +. (smoothing *. (tgt -. w.(i))) in
     if Float.abs (v -. w.(i)) > 0.01 then moved := true;
     next.(i) <- v
   done;

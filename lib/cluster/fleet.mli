@@ -5,9 +5,9 @@
 
 type t
 
-val create : ?smoothing:float -> int -> t
-(** [create n] for [n] machines; [smoothing] is the fraction of the gap to
-    the target weights closed per period (default 0.3). *)
+val create : int -> t
+(** [create n] for [n] machines.  Each period closes 30% of the gap to the
+    target weights. *)
 
 val note_signal : t -> mid:int -> depth:int -> unit
 (** Deliver one machine's gossiped depth (called when the gossip message

@@ -31,8 +31,6 @@ let spawn_ghost kernel enclave ~name behavior =
    windowing rule {!Workloads.Openloop} applies. *)
 let create ~engine ~mid ~warmup_ns ~horizon_ns ~fleet ~serve
     (scenario : Scenario.t) =
-  if scenario.Scenario.trace <> None then
-    invalid_arg "Cluster: machine scenarios must not set trace (the cluster owns the sink)";
   let started = Scenario.start ~engine scenario in
   let kernel = Scenario.kernel_of started in
   let recorder = Workloads.Recorder.create () in

@@ -30,8 +30,7 @@ val create :
 (** Start the machine's scenario on [engine], its lane of the cluster's
     queue, and, when [serve] is given, its pool.
     Requests arriving within [warmup_ns, horizon_ns) are recorded both
-    per-machine and into [fleet].  Raises [Invalid_argument] if the
-    scenario sets [trace] — the cluster owns the one sink. *)
+    per-machine and into [fleet]. *)
 
 val engine : t -> Sim.Engine.t
 (** The machine's lane. *)

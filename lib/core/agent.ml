@@ -42,10 +42,18 @@ type group = {
   mutable pass_penalty : int;  (* fault injection: extra ns per pass *)
 }
 
-let make_policy ~name ?(abi_version = Abi.version) ?(init = fun _ -> ())
-    ~schedule ?(on_result = fun _ _ -> ()) ?(on_cpu_added = fun _ _ -> ())
+let make_policy ~name ?(init = fun _ -> ()) ~schedule
+    ?(on_result = fun _ _ -> ()) ?(on_cpu_added = fun _ _ -> ())
     ?(on_cpu_removed = fun _ _ -> ()) () =
-  { name; abi_version; init; schedule; on_result; on_cpu_added; on_cpu_removed }
+  {
+    name;
+    abi_version = Abi.version;
+    init;
+    schedule;
+    on_result;
+    on_cpu_added;
+    on_cpu_removed;
+  }
 
 let base_pass_cost = 100 (* status-word reads, loop bookkeeping *)
 let scan_step_cost = Abi.scan_step_cost
@@ -422,6 +430,4 @@ let set_paused g flag =
         g.agents
   end
 
-let paused g = g.paused
 let set_pass_penalty g ns = g.pass_penalty <- max 0 ns
-let pass_penalty g = g.pass_penalty

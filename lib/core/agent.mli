@@ -50,7 +50,6 @@ type policy = {
 
 val make_policy :
   name:string ->
-  ?abi_version:int ->
   ?init:(Abi.t -> unit) ->
   schedule:(Abi.t -> Msg.t list -> unit) ->
   ?on_result:(Abi.t -> Txn.t -> unit) ->
@@ -59,7 +58,7 @@ val make_policy :
   unit ->
   policy
 (** Build a policy record with no-op defaults for everything but
-    [schedule].  [abi_version] defaults to the runtime's [Abi.version]. *)
+    [schedule], stamped with the runtime's [Abi.version]. *)
 
 val base_pass_cost : int
 (** Simulated ns every scheduling pass costs before the policy charges
@@ -113,12 +112,8 @@ val set_paused : group -> bool -> unit
     the watchdog eventually trips (§3.4).  Unpausing pokes every agent so it
     immediately works through the backlog. *)
 
-val paused : group -> bool
-
 val set_pass_penalty : group -> int -> unit
 (** Charge an extra [ns] to every scheduling pass — a degraded/slow agent
     whose transaction commits apply late (commits are validated when the
     pass's busy interval ends, so delaying the interval delays — and with
     message races, ESTALEs — the commits).  0 disables. *)
-
-val pass_penalty : group -> int

@@ -38,7 +38,7 @@ and enclave = {
   mutable queues : Squeue.t list;
   default_q : Squeue.t;
   cpu_queues : Squeue.t option array;  (* TIMER_TICK routing; None = default *)
-  mutable deliver_ticks : bool;
+  deliver_ticks : bool;
   watchdog_timeout : int option;
   mutable agents : (Task.t * Status_word.t) list;
   mutable on_destroy : (destroy_reason -> unit) list;
@@ -82,7 +82,6 @@ let on_destroy e fn = e.on_destroy <- fn :: e.on_destroy
 let on_resize e fn = e.on_resize <- fn :: e.on_resize
 let default_queue e = e.default_q
 let agent_tasks e = List.map fst e.agents
-let enclave_msg_drops e = e.msg_drops
 
 let enclave_dropped e =
   List.fold_left (fun acc q -> acc + Squeue.dropped q) 0 e.queues
@@ -788,8 +787,6 @@ let create_enclave t ?watchdog_timeout ?(deliver_ticks = false) ~cpus () =
 
 let destroy_queue e q =
   e.queues <- List.filter (fun x -> x != q) e.queues
-
-let set_deliver_ticks e flag = e.deliver_ticks <- flag
 
 (* --- Dynamic resizing ------------------------------------------------------- *)
 

@@ -63,9 +63,6 @@ val enclave_alive : enclave -> bool
 val enclave_id : enclave -> int
 val enclave_cpus : enclave -> Kernel.Cpumask.t
 
-val enclave_msg_drops : enclave -> int
-(** Kernel-posted messages this enclave lost to queue overflow. *)
-
 val enclave_dropped : enclave -> int
 (** Sum of {!Squeue.dropped} over every queue the enclave owns (includes
     producers other than the kernel post path). *)
@@ -105,17 +102,12 @@ val destroy_queue : enclave -> Squeue.t -> unit
 (** DESTROY_QUEUE: drop a queue (threads still associated with it fall back
     to posting into it harmlessly; re-associate them first). *)
 
-val set_deliver_ticks : enclave -> bool -> unit
-(** Enable/disable TIMER_TICK message delivery for the enclave's CPUs. *)
-
 val associate_queue : enclave -> Kernel.Task.t -> Squeue.t -> (unit, [ `Pending_messages ]) result
 (** Re-route a thread's messages.  Fails if the thread's current queue still
     holds messages about it, exactly as in §3.1. *)
 
 val associate_cpu_queue : enclave -> cpu:int -> Squeue.t -> unit
 (** Route CPU events (TIMER_TICK) for [cpu] to the given queue. *)
-
-val cpu_queue : enclave -> cpu:int -> Squeue.t
 
 (** {1 Managed threads} *)
 
@@ -132,7 +124,6 @@ val managed_threads : enclave -> Kernel.Task.t list
 
 val status_word : t -> Kernel.Task.t -> Status_word.t option
 val thread_seq : t -> Kernel.Task.t -> int option
-val is_managed : t -> Kernel.Task.t -> bool
 
 val set_hint : t -> Kernel.Task.t -> int -> unit
 (** Application-side write of the thread's scheduling hint (a plain store

@@ -25,7 +25,6 @@ type t = {
   mutable decided_at : int;  (** When validation ran. *)
 }
 
-val failure_to_string : failure -> string
 val status_to_string : status -> string
 val committed : t -> bool
 val pp : Format.formatter -> t -> unit

@@ -26,8 +26,6 @@ type point = {
   batch_share : float;
 }
 
-val system_name : system -> string
-
 val run :
   ?rates:float list ->
   ?with_batch:bool ->

@@ -15,8 +15,6 @@ type row = {
   percentiles : (float * int) list;  (** (pct, latency ns) *)
 }
 
-val sched_name : sched -> string
-
 val run :
   ?loaded:bool ->
   ?duration_ns:int ->

@@ -109,5 +109,3 @@ let scaled f c =
     class_switch_scale = Array.copy c.class_switch_scale;
     migration_class_extra = scale_i f c.migration_class_extra;
   }
-
-let apply_freq c x = scale_i c.freq_scale x

@@ -93,9 +93,6 @@ val scaled : float -> t -> t
     ([class_speed], [class_switch_scale], the multipliers) are copied
     unchanged. *)
 
-val apply_freq : t -> int -> int
-(** Apply [freq_scale] to a base cost. *)
-
 val scale_i : float -> int -> int
 (** Scale one nanosecond cost (round to nearest). *)
 

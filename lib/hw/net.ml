@@ -1,28 +1,19 @@
 (* Network cost model for cluster simulation.
 
    Where {!Costs} prices one machine's kernel/ghOSt primitives from Table 3,
-   this prices the three kinds of cross-machine traffic the fleet layer
-   generates.  Flat per-message latencies: at the rack scale the cluster
-   subsystem targets (a load balancer and tens of machines on one switch),
-   queueing inside the fabric is second-order next to the per-machine
-   scheduling dynamics under study, and a deterministic constant keeps fleet
-   runs bit-reproducible. *)
+   this prices the cross-machine traffic the fleet layer generates.  Flat
+   per-message latencies: at the rack scale the cluster subsystem targets
+   (a load balancer and tens of machines on one switch), queueing inside
+   the fabric is second-order next to the per-machine scheduling dynamics
+   under study, and a deterministic constant keeps fleet runs
+   bit-reproducible. *)
 
 type t = {
   rpc_ns : int;  (* balancer -> machine request dispatch *)
   gossip_ns : int;  (* machine -> fleet controller signal sample *)
-  cmd_ns : int;  (* controller -> machine command (weights, drain/fill) *)
 }
 
 (* Intra-rack numbers: ~10 us end-to-end for a request RPC through a ToR
-   switch (kernel stack + wire), half that for the small telemetry and
-   control datagrams. *)
-let rack = { rpc_ns = 10_000; gossip_ns = 5_000; cmd_ns = 5_000 }
-
-(* Ideal fabric: isolates scheduling effects from network latency in
-   experiments (and makes cluster-vs-standalone identity checks exact). *)
-let zero = { rpc_ns = 0; gossip_ns = 0; cmd_ns = 0 }
-
-let to_string t =
-  Printf.sprintf "net{rpc=%dns gossip=%dns cmd=%dns}" t.rpc_ns t.gossip_ns
-    t.cmd_ns
+   switch (kernel stack + wire), half that for the small telemetry
+   datagrams. *)
+let rack = { rpc_ns = 10_000; gossip_ns = 5_000 }

@@ -42,11 +42,6 @@ let num_cores t = t.sockets * t.ccx_per_socket * t.cores_per_ccx
 let num_cpus t = num_cores t * t.smt
 let num_ccx t = t.sockets * t.ccx_per_socket
 
-let class_of_core t core =
-  if core < 0 || core >= num_cores t then
-    invalid_arg (Printf.sprintf "Topology: core %d out of range" core);
-  t.classes.(core)
-
 let num_classes t = 1 + Array.fold_left max 0 t.classes
 
 let uniform t = Array.for_all (fun k -> k = 0) t.classes
@@ -99,13 +94,6 @@ let distance t a b =
   else if same_ccx t a b then Same_ccx
   else if same_socket t a b then Same_socket
   else Cross_socket
-
-let distance_rank = function
-  | Same_cpu -> 0
-  | Smt_sibling -> 1
-  | Same_ccx -> 2
-  | Same_socket -> 3
-  | Cross_socket -> 4
 
 let ccx_neighbors_by_distance t ccx =
   let socket = ccx / t.ccx_per_socket in

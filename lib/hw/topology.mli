@@ -50,9 +50,6 @@ val core_of : t -> cpu -> int
 val class_of : t -> cpu -> int
 (** Capability class of a CPU (its physical core's class). *)
 
-val class_of_core : t -> int -> int
-(** Capability class of a physical core. *)
-
 val num_classes : t -> int
 (** [1 + max class id]: 1 on uniform machines, 2 on a P/E hybrid. *)
 
@@ -73,7 +70,6 @@ val sibling_of : t -> cpu -> cpu option
 (** The other hyperthread of the same physical core (SMT=2 machines);
     [None] when SMT=1. *)
 
-val same_core : t -> cpu -> cpu -> bool
 val same_ccx : t -> cpu -> cpu -> bool
 val same_socket : t -> cpu -> cpu -> bool
 
@@ -85,9 +81,6 @@ type distance =
   | Cross_socket
 
 val distance : t -> cpu -> cpu -> distance
-
-val distance_rank : distance -> int
-(** 0 for [Same_cpu] .. 4 for [Cross_socket]; monotone in cache distance. *)
 
 val ccx_neighbors_by_distance : t -> int -> int list
 (** CCX ids ordered by closeness to the given CCX (same socket first, then

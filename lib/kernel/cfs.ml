@@ -335,8 +335,6 @@ let create env =
   ignore (Sim.Engine.post_in env.engine ~delay:balance_period tick_balance);
   t
 
-let nr_queued t = Array.fold_left (fun acc rq -> acc + rq.nr) 0 t.rqs
-
 let cls t : Class_intf.cls =
   {
     name = "cfs";

@@ -23,9 +23,3 @@ val sched_latency : int
 
 val min_granularity : int
 (** Minimum timeslice, ns (0.75 ms). *)
-
-val balance_period : int
-(** Periodic load-balance interval, ns (4 ms). *)
-
-val nr_queued : t -> int
-(** Total queued tasks across all runqueues (for tests). *)

@@ -469,11 +469,6 @@ let set_affinity t (task : Task.t) mask =
     preempt_check t cpu task
   | Task.Running | Task.Runnable | Task.Created | Task.Blocked | Task.Dead -> ()
 
-let set_nice t (task : Task.t) nice =
-  if nice < -20 || nice > 19 then invalid_arg "Kernel.set_nice: out of range";
-  ignore t;
-  task.nice <- nice
-
 let set_policy t (task : Task.t) policy =
   if task.policy <> policy then begin
     (* Detach from the old class: dequeue is safe on unqueued tasks and lets
@@ -551,8 +546,6 @@ let class_env_of t : Class_intf.env =
     note_queued = (fun ~cpu d -> t.queued.(cpu) <- t.queued.(cpu) + d);
   }
 
-let class_env = class_env_of
-
 let install_class t (cls : Class_intf.cls) =
   t.classes <- t.classes @ [ cls ];
   t.by_policy.(Task.policy_rank cls.policy) <- Some cls;
@@ -625,7 +618,6 @@ let create ?(core_sched = false) ?(seed = 42) ?engine machine =
   t
 
 let set_ticks_enabled t ~cpu flag = t.cpus.(cpu).ticks_enabled <- flag
-let ticks_enabled t ~cpu = t.cpus.(cpu).ticks_enabled
 
 let run_until t time = Sim.Engine.run_until t.engine time
 let run_for t delta = Sim.Engine.run_until t.engine (now t + delta)

@@ -88,8 +88,6 @@ val kill : t -> Task.t -> unit
 val set_affinity : t -> Task.t -> Cpumask.t -> unit
 (** [sched_setaffinity]: update the mask and migrate if needed. *)
 
-val set_nice : t -> Task.t -> int -> unit
-
 val set_policy : t -> Task.t -> Task.policy -> unit
 (** Move a task to another scheduling class (e.g. ghOSt enclave destruction
     sends all managed threads back to CFS, §3.4). *)
@@ -141,9 +139,6 @@ val set_ticks_enabled : t -> cpu:int -> bool -> unit
     at most one runnable thread for NO_HZ_FULL; here the caller takes that
     responsibility (CFS preemption on that CPU stops without ticks). *)
 
-val ticks_enabled : t -> cpu:int -> bool
-
-val class_env : t -> Class_intf.env
 val install_class : t -> Class_intf.cls -> unit
 (** Append a class at the lowest priority (used to install ghOSt). *)
 

@@ -126,8 +126,6 @@ let put_prev t ~cpu (task : Task.t) =
     if target <> cpu then t.env.resched target
   end
 
-let nr_throttled t = List.length t.throttled
-
 let cls t : Class_intf.cls =
   {
     name = "microquanta";

@@ -11,6 +11,3 @@ type t
 
 val create : Class_intf.env -> t
 val cls : t -> Class_intf.cls
-
-val nr_throttled : t -> int
-(** Currently throttled runnable tasks (for tests). *)

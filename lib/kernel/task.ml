@@ -14,7 +14,7 @@ type t = {
   mutable state : state;
   mutable policy : policy;
   mutable is_agent : bool;
-  mutable nice : int;
+  nice : int;
   mutable rt_prio : int;
   mutable cookie : int;
   mutable affinity : Cpumask.t;
@@ -70,7 +70,6 @@ let is_runnable t =
 
 let pp ppf t = Format.fprintf ppf "%s(%d)" t.name t.tid
 
-let exit_now () = Exit
 let run ns after = Run { ns; after }
 let block after = Block { after }
 let yield after = Yield { after }

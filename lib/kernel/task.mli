@@ -26,7 +26,7 @@ type t = {
   mutable state : state;
   mutable policy : policy;
   mutable is_agent : bool;  (** ghOSt agent thread (RT, special handling). *)
-  mutable nice : int;
+  nice : int;
   mutable rt_prio : int;
   mutable cookie : int;  (** Core-scheduling cookie; 0 = none (§4.5). *)
   mutable affinity : Cpumask.t;
@@ -68,7 +68,6 @@ val pp : Format.formatter -> t -> unit
 
 (** Behaviour combinators for building task code. *)
 
-val exit_now : unit -> action
 val run : int -> (unit -> action) -> action
 val block : (unit -> action) -> action
 val yield : (unit -> action) -> action

@@ -41,7 +41,6 @@ let gauge name =
     (function IGauge g -> Some g | _ -> None)
 
 let[@inline] set g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram name =
   register name

@@ -24,7 +24,6 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 val histogram : string -> histogram
 (** Log-bucketed ({!Gstats.Histogram}) distribution, e.g. of latencies. *)

@@ -280,7 +280,6 @@ module Buckets = struct
   let pop t ctx k = Rq.pop (bucket t k) ctx
   let len t k = Rq.length (bucket t k)
   let drop t tid = Sim.Idtbl.remove t.queued tid
-  let queued_mem t tid = Sim.Idtbl.mem t.queued tid
   let fold f t acc = Hashtbl.fold f t.tbl acc
 
   let take t k =
@@ -382,7 +381,6 @@ module Centralized = struct
        time; the adaptive controller rewrites them between passes. *)
     mutable timeslice : int option;
     mutable donate_max : int option;  (* cap on down-class grants per pass *)
-    mutable fp_publish_min : int;  (* publish to the ring at this backlog *)
     (* Lifecycle hooks, all optional and free when unset. *)
     mutable on_pass : (Abi.t -> unit) option;
     mutable on_event : (Abi.t -> Msg_class.event -> unit) option;
@@ -393,12 +391,10 @@ module Centralized = struct
   let backlog t = Rq.length t.queues.(0)
   let timeslice t = t.timeslice
   let donate_max t = t.donate_max
-  let fp_publish_min t = t.fp_publish_min
   let set_on_pass t f = t.on_pass <- Some f
   let set_on_event t f = t.on_event <- Some f
   let set_on_committed t f = t.on_committed <- Some f
   let set_donate_max t v = t.donate_max <- v
-  let set_fp_publish_min t v = t.fp_publish_min <- v
 
   let set_timeslice t ctx slice =
     t.timeslice <- slice;
@@ -560,17 +556,15 @@ module Centralized = struct
      CPU idling before our next pass dispatches it without a round-trip.
      The ring mirror is consulted first: both it and the task lookup are
      free reads, and most of a standing backlog is already published. *)
-  let publish t ctx fp =
-    let q0 = t.queues.(0) in
-    if Rq.length q0 >= t.fp_publish_min then
-      Rq.iter
-        (fun tid ->
-          if not (Fastpath.published fp tid) then
-            match Abi.task_by_tid ctx tid with
-            | Some task when Task.is_runnable task ->
-              ignore (Fastpath.publish fp ctx tid)
-            | Some _ | None -> ())
-        q0
+  let publish ctx fp q0 =
+    Rq.iter
+      (fun tid ->
+        if not (Fastpath.published fp tid) then
+          match Abi.task_by_tid ctx tid with
+          | Some task when Task.is_runnable task ->
+            ignore (Fastpath.publish fp ctx tid)
+          | Some _ | None -> ())
+      q0
 
   let schedule t ctx msgs =
     feed t ctx msgs;
@@ -606,7 +600,7 @@ module Centralized = struct
         t.pass <- t.pass + 1;
         rotate t ctx ~now:(Abi.now ctx) ~slice (Abi.enclave_cpu_list ctx)
     end;
-    (match t.fp with None -> () | Some fp -> publish t ctx fp);
+    (match t.fp with None -> () | Some fp -> publish ctx fp t.queues.(0));
     Commit.submit ctx t.com
 
   let on_outcome t ctx (o : Outcome.t) =
@@ -662,7 +656,6 @@ module Centralized = struct
         wakeup_gated;
         timeslice;
         donate_max = None;
-        fp_publish_min = 0;
         on_pass = None;
         on_event = None;
         on_committed = None;

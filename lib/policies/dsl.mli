@@ -31,8 +31,6 @@ module Outcome : sig
     | Gone of int  (** ENOENT: the thread died before the commit landed *)
     | Rejected of { tid : int; estale : bool }  (** retry: requeue the tid *)
     | Pending
-
-  val of_txn : Txn.t -> t
 end
 
 (** A knob is a declared, typed parameter: the registry parses it from the
@@ -59,10 +57,6 @@ module Knob : sig
   val bool : string -> default:bool -> string -> spec
   val string : string -> default:string -> string -> spec
 
-  val render_time : int -> string
-  (** ns pretty-printed at the coarsest exact unit: "30us", "1ms", "2s". *)
-
-  val render_value : spec -> Ghost_policy.value -> string
   val render_default : spec -> string
 end
 
@@ -143,22 +137,6 @@ module Rq : sig
       @raise Invalid_argument on FIFO. *)
 end
 
-(** Running-interval bookkeeping behind timeslice rotation: which tid has
-    been on which CPU since when. *)
-module Running : sig
-  type t
-
-  val create : unit -> t
-  val note : t -> int -> cpu:int -> at:int -> unit
-  val forget : t -> int -> unit
-
-  val over_slice : t -> int -> cpu:int -> now:int -> slice:int -> bool
-  (** Has the tid been running on this CPU for at least [slice] ns? *)
-
-  val forget_cpu : t -> int -> unit
-  (** Drop every interval on a departed CPU. *)
-end
-
 (** A family of FIFO run-queues keyed by an integer (per-CPU queues,
     per-VM cookie queues), sharing one dedup table so a tid lives in at
     most one bucket.  Buckets are created lazily on first touch — push,
@@ -178,9 +156,6 @@ module Buckets : sig
   val bucket : t -> int -> Rq.t
   (** The bucket for a key, created on first touch. *)
 
-  val push_to : t -> int -> int -> unit
-  (** [push_to t key tid]: dedup-checked enqueue into an explicit bucket. *)
-
   val push_auto : t -> Abi.t -> int -> unit
   (** Route by the task's own key ([bucket_of]); unknown tids are
       ignored. *)
@@ -188,7 +163,6 @@ module Buckets : sig
   val pop : t -> Abi.t -> int -> Task.t option
   val len : t -> int -> int
   val drop : t -> int -> unit
-  val queued_mem : t -> int -> bool
   val fold : (int -> Rq.t -> 'a -> 'a) -> t -> 'a -> 'a
 
   val take : t -> int -> Rq.t option
@@ -240,7 +214,6 @@ module Centralized : sig
 
   val timeslice : t -> int option
   val donate_max : t -> int option
-  val fp_publish_min : t -> int
 
   val set_timeslice : t -> Abi.t -> int option -> unit
   (** Also pushes the new slice to the BPF tick program when the engine
@@ -248,9 +221,6 @@ module Centralized : sig
 
   val set_donate_max : t -> int option -> unit
   (** Cap on down-class grants per pass; [Some 0] stops donation. *)
-
-  val set_fp_publish_min : t -> int -> unit
-  (** Publish to the pick ring only at this backlog or deeper. *)
 
   (* Lifecycle hooks, all optional and free when unset. *)
 

@@ -63,7 +63,6 @@ let pop t =
   end
 
 let peek t = if t.size = 0 then None else Some (t.heap.(0).key, t.heap.(0).value)
-let clear t = t.size <- 0
 
 let iter f t =
   for i = 0 to t.size - 1 do

@@ -13,7 +13,6 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum-key entry. *)
 
 val peek : 'a t -> (int * 'a) option
-val clear : 'a t -> unit
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** [iter f t] calls [f key value] on every entry in heap-array order
     (not sorted), allocating nothing.  [f] must not modify [t]. *)

@@ -28,11 +28,6 @@ type t = {
 
 let stats t = t.stats
 
-let core_cookie t ~core =
-  match Hashtbl.find_opt t.cores core with
-  | Some cs when cs.cookie <> 0 -> Some cs.cookie
-  | Some _ | None -> None
-
 let push t ctx tid = Dsl.Buckets.push_auto t.runnable ctx tid
 let pop t ctx cookie = Dsl.Buckets.pop t.runnable ctx cookie
 

@@ -26,6 +26,3 @@ val policy : ?quantum:int -> ?eager_pairing:bool -> unit -> t * Ghost.Agent.poli
     few percent of throughput on SMT-sensitive guests. *)
 
 val stats : t -> stats
-
-val core_cookie : t -> core:int -> int option
-(** VM currently owning a physical core, for the security-invariant tests. *)

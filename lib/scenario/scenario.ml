@@ -111,16 +111,14 @@ type t = {
   cooldown_ns : int;
   enclaves : enclave_spec list;
   controller : controller option;
-  trace : string option;  (* write a Perfetto trace here *)
 }
 
-let make ?(seed = 42) ?(warmup_ns = 0) ?(cooldown_ns = 0) ?controller ?trace
-    ~machine ~measure_ns ~enclaves name =
+let make ?(seed = 42) ?(warmup_ns = 0) ?(cooldown_ns = 0) ?controller ~machine ~measure_ns ~enclaves name =
   if enclaves = [] then invalid_arg "Scenario.make: no enclaves";
   if warmup_ns < 0 || measure_ns < 0 || cooldown_ns < 0 then
     invalid_arg "Scenario.make: negative window";
   { name; machine; seed; warmup_ns; measure_ns; cooldown_ns; enclaves;
-    controller; trace }
+    controller }
 
 (* --- Reports ----------------------------------------------------------------- *)
 
@@ -341,76 +339,63 @@ let report_of (t : t) (le : live_enclave) =
    reports), the clock is then advanced externally, and the marks/finish
    take the same snapshots [run] always took at the same virtual times. *)
 
-type started = { scn : t; live : live; sink : Obs.Sink.t option }
+type started = { scn : t; live : live }
 
 let start ?engine (t : t) =
   let kernel = Kernel.create ?engine ~seed:t.seed t.machine in
   let sys = System.install kernel in
-  let sink =
-    match t.trace with
-    | None -> None
-    | Some _ ->
-      let s = Obs.Sink.create () in
-      Obs.Sink.install s;
-      Some s
-  in
-  try
-    let les = List.map (setup_enclave kernel sys) t.enclaves in
-    let les =
-      List.map
-        (fun le ->
-          let le =
-            { le with
-              live_workloads =
-                List.map (setup_workload t kernel le) le.spec.workloads }
-          in
-          (* Threads fall back to CFS before destroy callbacks run; this
-             snapshot is the paper's "transparently revert" check. *)
-          let ghost_tasks =
-            List.concat_map
-              (function
-                | L_openloop ol -> Workloads.Openloop.workers ol
-                | L_batch b -> Workloads.Batch.tasks b
-                | L_spin ts -> ts
-                | L_jobs j -> j.tasks)
-              le.live_workloads
-          in
-          System.on_destroy le.enclave (fun _reason ->
-              le.all_cfs_at_destroy <-
-                Some
-                  (List.for_all
-                     (fun (tk : Task.t) ->
-                       tk.Task.state = Task.Dead || tk.Task.policy = Task.Cfs)
-                     ghost_tasks));
-          le)
-        les
-    in
-    let live = { kernel; sys; live_enclaves = les } in
-    let horizon = t.warmup_ns + t.measure_ns in
-    List.iter
+  let les = List.map (setup_enclave kernel sys) t.enclaves in
+  let les =
+    List.map
       (fun le ->
-        List.iter
-          (function
-            | L_openloop ol -> Workloads.Openloop.start ol ~until:horizon
-            | L_batch _ | L_spin _ | L_jobs _ -> ())
-          le.live_workloads)
-      les;
-    (match t.controller with
-    | None -> ()
-    | Some c ->
-      let rec tick () =
-        if Kernel.now kernel < horizon then begin
-          c.tick live;
-          ignore
-            (Sim.Engine.post_in (Kernel.engine kernel) ~delay:c.period_ns tick)
-        end
-      in
-      ignore (Sim.Engine.post_in (Kernel.engine kernel) ~delay:c.period_ns tick));
-    { scn = t; live; sink }
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    if sink <> None then Obs.Sink.uninstall ();
-    Printexc.raise_with_backtrace e bt
+        let le =
+          { le with
+            live_workloads =
+              List.map (setup_workload t kernel le) le.spec.workloads }
+        in
+        (* Threads fall back to CFS before destroy callbacks run; this
+           snapshot is the paper's "transparently revert" check. *)
+        let ghost_tasks =
+          List.concat_map
+            (function
+              | L_openloop ol -> Workloads.Openloop.workers ol
+              | L_batch b -> Workloads.Batch.tasks b
+              | L_spin ts -> ts
+              | L_jobs j -> j.tasks)
+            le.live_workloads
+        in
+        System.on_destroy le.enclave (fun _reason ->
+            le.all_cfs_at_destroy <-
+              Some
+                (List.for_all
+                   (fun (tk : Task.t) ->
+                     tk.Task.state = Task.Dead || tk.Task.policy = Task.Cfs)
+                   ghost_tasks));
+        le)
+      les
+  in
+  let live = { kernel; sys; live_enclaves = les } in
+  let horizon = t.warmup_ns + t.measure_ns in
+  List.iter
+    (fun le ->
+      List.iter
+        (function
+          | L_openloop ol -> Workloads.Openloop.start ol ~until:horizon
+          | L_batch _ | L_spin _ | L_jobs _ -> ())
+        le.live_workloads)
+    les;
+  (match t.controller with
+  | None -> ()
+  | Some c ->
+    let rec tick () =
+      if Kernel.now kernel < horizon then begin
+        c.tick live;
+        ignore
+          (Sim.Engine.post_in (Kernel.engine kernel) ~delay:c.period_ns tick)
+      end
+    in
+    ignore (Sim.Engine.post_in (Kernel.engine kernel) ~delay:c.period_ns tick));
+  { scn = t; live }
 
 let live_of st = st.live
 let kernel_of st = st.live.kernel
@@ -447,20 +432,14 @@ let finish st =
 
 let run (t : t) =
   let st = start t in
-  Fun.protect
-    ~finally:(fun () -> if st.sink <> None then Obs.Sink.uninstall ())
-    (fun () ->
-      let kernel = st.live.kernel in
-      let horizon = t.warmup_ns + t.measure_ns in
-      Kernel.run_until kernel t.warmup_ns;
-      mark_measure_start st;
-      Kernel.run_until kernel horizon;
-      mark_measure_end st;
-      Kernel.run_until kernel (horizon + t.cooldown_ns);
-      (match (st.sink, t.trace) with
-      | Some s, Some path -> Obs.Perfetto.write_file s ~path
-      | _ -> ());
-      finish st)
+  let kernel = st.live.kernel in
+  let horizon = t.warmup_ns + t.measure_ns in
+  Kernel.run_until kernel t.warmup_ns;
+  mark_measure_start st;
+  Kernel.run_until kernel horizon;
+  mark_measure_end st;
+  Kernel.run_until kernel (horizon + t.cooldown_ns);
+  finish st
 
 (* --- Smoke ------------------------------------------------------------------- *)
 

@@ -2,11 +2,10 @@
 
     A scenario is a value: a machine, N enclaves — each with a policy named
     via {!Policies.Registry} spec syntax, a cpumask, workloads and an
-    optional fault plan — plus a seed, warmup/measure/cooldown windows, an
-    optional controller ticking over the live system (e.g. a load watcher
-    moving CPUs between enclaves with {!move_cpu}) and an optional Perfetto
-    trace path.  {!run} executes it deterministically and returns
-    per-enclave reports.
+    optional fault plan — plus a seed, warmup/measure/cooldown windows and
+    an optional controller ticking over the live system (e.g. a load
+    watcher moving CPUs between enclaves with {!move_cpu}).  {!run}
+    executes it deterministically and returns per-enclave reports.
 
     Setup order is part of the contract (it fixes task ids and event
     sequence numbers): enclaves in declaration order (policy built,
@@ -104,7 +103,6 @@ type t = {
   cooldown_ns : int;  (** extra run time so in-flight requests complete *)
   enclaves : enclave_spec list;
   controller : controller option;
-  trace : string option;
 }
 
 val make :
@@ -112,7 +110,6 @@ val make :
   ?warmup_ns:int ->
   ?cooldown_ns:int ->
   ?controller:controller ->
-  ?trace:string ->
   machine:Hw.Machines.t ->
   measure_ns:int ->
   enclaves:enclave_spec list ->
@@ -159,9 +156,7 @@ val run : t -> report
     machines' scenarios, advance their clocks in lockstep on per-machine
     event lanes, and take the measurement snapshots at the same virtual
     times {!run} would.  [start] performs the full setup in the canonical
-    order (and installs the trace sink iff [trace] is set — cluster
-    machines pass [trace = None] and let the cluster own the one sink);
-    the caller then advances the kernel's engine to [warmup_ns], calls
+    order; the caller then advances the kernel's engine to [warmup_ns], calls
     {!mark_measure_start}, advances to [warmup_ns + measure_ns], calls
     {!mark_measure_end}, runs the cooldown and calls {!finish}.  Running
     {!run} and this sequence produce identical reports. *)

@@ -70,11 +70,4 @@ let run_until e horizon =
   loop ();
   advance e horizon
 
-let run ?max_events e =
-  match max_events with
-  | None -> while step e do () done
-  | Some n ->
-    let fired = ref 0 in
-    while !fired < n && step e do
-      incr fired
-    done
+let run e = while step e do () done

@@ -62,9 +62,9 @@ val run_until : t -> int -> unit
 (** [run_until e t] fires all events with timestamp [<= t], then sets the
     clock to [t]. *)
 
-val run : ?max_events:int -> t -> unit
-(** Fire events until the queue drains (or [max_events] fired).  The clock
-    ends at the last fired event's time. *)
+val run : t -> unit
+(** Fire events until the queue drains.  The clock ends at the last fired
+    event's time. *)
 
 val step : t -> bool
 (** Fire the single earliest event.  [false] when the queue is empty. *)

@@ -137,10 +137,6 @@ let rec pop_live_cell q =
   end
   else cell
 
-let pop_live q =
-  let c = pop_live_cell q in
-  if c == nil then None else Some c
-
 (* Earliest live cell, left in place (cancelled cells at the top are
    reclaimed on the way); [nil] when empty. *)
 let rec peek_live_cell q =

@@ -21,7 +21,6 @@ type cell = {
     unique, so ties in time resolve to insertion order. *)
 
 val flag_cancelled : int
-val flag_in_heap : int
 
 val cancelled : cell -> bool
 val set_cancelled : cell -> unit
@@ -53,18 +52,12 @@ val note_cancel : t -> unit
 (** Tell the heap one of its stored cells was just marked cancelled; may
     trigger compaction. *)
 
-val pop_live : t -> cell option
-(** Remove and return the earliest live cell ([None] if none).  The cell is
-    no longer stored; the caller marks it cancelled after firing it. *)
-
 val pop_live_cell : t -> cell
-(** [pop_live] without the [option]: {!nil} when empty. *)
-
-val peek_live : t -> cell option
-(** Earliest live cell without removing it. *)
+(** Remove and return the earliest live cell, {!nil} when empty.  The cell
+    is no longer stored; the caller marks it cancelled after firing it. *)
 
 val peek_live_cell : t -> cell
-(** [peek_live] without the [option]: {!nil} when empty. *)
+(** Earliest live cell without removing it, {!nil} when empty. *)
 
 val compact : t -> unit
 (** Drop all cancelled cells and re-heapify. *)

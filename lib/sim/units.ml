@@ -2,15 +2,4 @@ let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
-let us_f x = int_of_float (Float.round (x *. 1e3))
-let ms_f x = int_of_float (Float.round (x *. 1e6))
-let to_us t = float_of_int t /. 1e3
 let to_ms t = float_of_int t /. 1e6
-let to_sec t = float_of_int t /. 1e9
-
-let pp_duration ppf t =
-  let ft = float_of_int t in
-  if t < 1_000 then Format.fprintf ppf "%dns" t
-  else if t < 1_000_000 then Format.fprintf ppf "%.2fus" (ft /. 1e3)
-  else if t < 1_000_000_000 then Format.fprintf ppf "%.2fms" (ft /. 1e6)
-  else Format.fprintf ppf "%.3fs" (ft /. 1e9)

@@ -15,20 +15,5 @@ val ms : int -> int
 val sec : int -> int
 (** [sec x] is [x] seconds in nanoseconds. *)
 
-val us_f : float -> int
-(** [us_f x] is [x] microseconds in nanoseconds, rounded to nearest. *)
-
-val ms_f : float -> int
-(** [ms_f x] is [x] milliseconds in nanoseconds, rounded to nearest. *)
-
-val to_us : int -> float
-(** [to_us t] converts nanoseconds to fractional microseconds. *)
-
 val to_ms : int -> float
 (** [to_ms t] converts nanoseconds to fractional milliseconds. *)
-
-val to_sec : int -> float
-(** [to_sec t] converts nanoseconds to fractional seconds. *)
-
-val pp_duration : Format.formatter -> int -> unit
-(** Pretty-print a duration with an adaptive unit (ns, us, ms or s). *)

@@ -11,12 +11,11 @@ type t = {
   buckets : int array;
   mutable total : int;
   mutable sum : int;
-  mutable min_v : int;
   mutable max_v : int;
 }
 
 let create () =
-  { buckets = Array.make nbuckets 0; total = 0; sum = 0; min_v = max_int; max_v = 0 }
+  { buckets = Array.make nbuckets 0; total = 0; sum = 0; max_v = 0 }
 
 let msb_position v =
   (* Position of the most significant set bit of v >= 1 (0-indexed). *)
@@ -43,22 +42,17 @@ let value_of_index i =
     base + width - 1
   end
 
-let[@inline] record_n h v n =
-  if n > 0 then begin
-    let v = if v < 0 then 0 else v in
-    let i = index_of v in
-    h.buckets.(i) <- h.buckets.(i) + n;
-    h.total <- h.total + n;
-    h.sum <- h.sum + (v * n);
-    if v < h.min_v then h.min_v <- v;
-    if v > h.max_v then h.max_v <- v
-  end
+let[@inline] record h v =
+  let v = if v < 0 then 0 else v in
+  let i = index_of v in
+  h.buckets.(i) <- h.buckets.(i) + 1;
+  h.total <- h.total + 1;
+  h.sum <- h.sum + v;
+  if v > h.max_v then h.max_v <- v
 
-let[@inline] record h v = record_n h v 1
 let count h = h.total
 let sum h = h.sum
 let mean h = if h.total = 0 then 0.0 else float_of_int h.sum /. float_of_int h.total
-let min_value h = if h.total = 0 then 0 else h.min_v
 let max_value h = h.max_v
 
 let percentile h p =
@@ -77,29 +71,8 @@ let percentile h p =
     walk 0 0
   end
 
-let merge_into ~dst src =
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        dst.buckets.(i) <- dst.buckets.(i) + n
-      end)
-    src.buckets;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum + src.sum;
-  if src.total > 0 then begin
-    if src.min_v < dst.min_v then dst.min_v <- src.min_v;
-    if src.max_v > dst.max_v then dst.max_v <- src.max_v
-  end
-
 let reset h =
   Array.fill h.buckets 0 nbuckets 0;
   h.total <- 0;
   h.sum <- 0;
-  h.min_v <- max_int;
   h.max_v <- 0
-
-let pp_summary ppf h =
-  Format.fprintf ppf
-    "n=%d mean=%.0f p50=%d p90=%d p99=%d p99.9=%d max=%d"
-    h.total (mean h) (percentile h 50.0) (percentile h 90.0)
-    (percentile h 99.0) (percentile h 99.9) h.max_v

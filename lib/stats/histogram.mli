@@ -15,9 +15,6 @@ val create : unit -> t
 val record : t -> int -> unit
 (** [record h v] adds one sample.  Negative values are clamped to 0. *)
 
-val record_n : t -> int -> int -> unit
-(** [record_n h v n] adds [n] samples of value [v]. *)
-
 val count : t -> int
 (** Total number of recorded samples. *)
 
@@ -27,9 +24,6 @@ val sum : t -> int
 val mean : t -> float
 (** Mean of recorded samples; 0 when empty. *)
 
-val min_value : t -> int
-(** Smallest recorded sample; 0 when empty. *)
-
 val max_value : t -> int
 (** Largest recorded sample; 0 when empty. *)
 
@@ -37,11 +31,5 @@ val percentile : t -> float -> int
 (** [percentile h p] with [p] in [\[0, 100\]]: smallest bucket-representative
     value [v] such that at least [p]% of samples are [<= v].  0 when empty. *)
 
-val merge_into : dst:t -> t -> unit
-(** Add all of the second histogram's samples into [dst]. *)
-
 val reset : t -> unit
 (** Forget all samples. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line summary: count, mean, p50/p90/p99/p99.9, max. *)

@@ -22,14 +22,3 @@ let print ~header rows = print_string (render ~header rows)
 let print_title title =
   let bar = String.make (String.length title + 4) '=' in
   Printf.printf "\n%s\n= %s =\n%s\n" bar title bar
-
-let fmt_ns t =
-  let ft = float_of_int t in
-  if t < 1_000 then Printf.sprintf "%d ns" t
-  else if t < 1_000_000 then Printf.sprintf "%.2f us" (ft /. 1e3)
-  else if t < 1_000_000_000 then Printf.sprintf "%.2f ms" (ft /. 1e6)
-  else Printf.sprintf "%.3f s" (ft /. 1e9)
-
-let fmt_f x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.2f" x

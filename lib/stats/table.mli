@@ -13,8 +13,3 @@ val print : header:string list -> string list list -> unit
 val print_title : string -> unit
 (** Print a boxed section title. *)
 
-val fmt_ns : int -> string
-(** Format nanoseconds with adaptive units. *)
-
-val fmt_f : float -> string
-(** Format a float compactly (up to 2 decimals, no trailing zeros). *)

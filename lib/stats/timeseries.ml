@@ -26,8 +26,6 @@ let incr t ~time =
   let w = get_window t time in
   w.events <- w.events + 1
 
-let window_width t = t.width
-
 let windows t =
   Hashtbl.fold (fun k w acc -> (k, w) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

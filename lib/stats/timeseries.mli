@@ -15,8 +15,6 @@ val record : t -> time:int -> int -> unit
 val incr : t -> time:int -> unit
 (** Count an event at virtual [time] without a latency sample. *)
 
-val window_width : t -> int
-
 val windows : t -> (int * int * Histogram.t) list
 (** [(window_start, event_count, histogram)] for each non-empty window, in
     time order.  [event_count] includes both [record] and [incr] events. *)

@@ -15,12 +15,10 @@ val create :
 
 val tasks : t -> Kernel.Task.t list
 
-val cpu_time : t -> int
-(** Total CPU nanoseconds consumed by the batch so far. *)
-
 val share : t -> since:int -> now:int -> cpus:int -> float
 (** Fraction of the machine's capacity ([cpus] CPUs over the window) the
-    batch consumed, relative to a [cpu_time] snapshot taken via [mark]. *)
+    batch consumed since the CPU-time snapshot [mark] took. *)
 
 val mark : t -> unit
-(** Snapshot cpu_time; [share] measures from the last mark. *)
+(** Snapshot the batch's total CPU time; [share] measures from the last
+    mark. *)

@@ -17,7 +17,6 @@ type t = {
 let pool t = match t.pool with Some p -> p | None -> assert false
 let recorder t = t.rec_
 let offered t = t.offered
-let queued_now t = Pool.backlog (pool t)
 let workers t = Pool.tasks (pool t)
 let set_record_after t time = t.record_after <- time
 

@@ -45,7 +45,4 @@ val recorder : t -> Recorder.t
 val offered : t -> int
 (** Requests generated. *)
 
-val queued_now : t -> int
-(** Requests currently waiting for a worker. *)
-
 val workers : t -> Kernel.Task.t list

@@ -8,8 +8,6 @@ type t = {
   kernel : Kernel.t;
   rng : Sim.Rng.t;
   rate_per_flow : float;
-  small_flows : int;
-  large_flows : int;
   wire : int;
   rec_small : Recorder.t;
   rec_large : Recorder.t;
@@ -17,7 +15,6 @@ type t = {
                                           are sharded across them like Snap
                                           engine groups *)
   mutable servers : msg Pool.t option;
-  mutable sent : int;
   mutable record_after : int;
   nworkers : int;
 }
@@ -29,12 +26,10 @@ let app_proc = function Small -> 2_000 | Large -> 9_000
 
 let rtt_small t = t.rec_small
 let rtt_large t = t.rec_large
-let messages_sent t = t.sent
 let set_record_after t time = t.record_after <- time
 
 let servers_pool t = match t.servers with Some p -> p | None -> assert false
 let worker_of t (m : msg) = t.workers.(m.flow mod t.nworkers)
-let worker_tasks t = List.concat_map Pool.tasks (Array.to_list t.workers)
 
 let finish t (m : msg) =
   let now = Kernel.now t.kernel in
@@ -56,7 +51,6 @@ let advance t (m : msg) =
 
 let inject t ~flow size =
   let m = { send = Kernel.now t.kernel; size; flow; stage = 0 } in
-  t.sent <- t.sent + 1;
   Pool.submit (worker_of t m) m
 
 (* Bursty traffic: each arrival event delivers a geometric burst (the 64 B
@@ -79,12 +73,16 @@ let start_flow t ~flow ~burst size ~until =
   let first = Sim.Rng.float t.rng (1e9 /. t.rate_per_flow) in
   ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float first)) tick)
 
+(* The paper's six flows: one 64 B flow and five 64 kB flows. *)
+let small_flows = 1
+let large_flows = 5
+
 let start t ~until =
-  for flow = 0 to t.small_flows - 1 do
+  for flow = 0 to small_flows - 1 do
     start_flow t ~flow ~burst:6 Small ~until
   done;
-  for i = 0 to t.large_flows - 1 do
-    start_flow t ~flow:(t.small_flows + i) ~burst:2 Large ~until
+  for i = 0 to large_flows - 1 do
+    start_flow t ~flow:(small_flows + i) ~burst:2 Large ~until
   done
 
 let add_daemons t ~n ~period ~busy =
@@ -112,21 +110,18 @@ let add_daemons t ~n ~period ~busy =
          rearm)
   done
 
-let create kernel ~seed ?(rate_per_flow = 10_000.0) ?(small_flows = 1)
-    ?(large_flows = 5) ?(wire = 10_000) ~nworkers ~nservers ~spawn_worker () =
+let create kernel ~seed ?(rate_per_flow = 10_000.0) ?(wire = 10_000) ~nworkers
+    ~nservers ~spawn_worker () =
   let t =
     {
       kernel;
       rng = Sim.Rng.create seed;
       rate_per_flow;
-      small_flows;
-      large_flows;
       wire;
       rec_small = Recorder.create ();
       rec_large = Recorder.create ();
       workers = [||];
       servers = None;
-      sent = 0;
       record_after = 0;
       nworkers;
     }

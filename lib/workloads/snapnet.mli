@@ -17,16 +17,14 @@ val create :
   Kernel.t ->
   seed:int ->
   ?rate_per_flow:float ->
-  ?small_flows:int ->
-  ?large_flows:int ->
   ?wire:int ->
   nworkers:int ->
   nservers:int ->
   spawn_worker:(idx:int -> (unit -> Kernel.Task.action) -> Kernel.Task.t) ->
   unit ->
   t
-(** Defaults: 10k msgs/s per flow, 1 small + 5 large flows, 3 us wire.
-    Server threads are plain CFS tasks created internally. *)
+(** Defaults: 10k msgs/s per flow, 10 us wire.  Always 1 small + 5 large
+    flows.  Server threads are plain CFS tasks created internally. *)
 
 val add_daemons : t -> n:int -> period:int -> busy:int -> unit
 (** Periodic per-CPU CFS daemons that preempt whatever runs (quiet mode's
@@ -37,5 +35,3 @@ val set_record_after : t -> int -> unit
 
 val rtt_small : t -> Recorder.t
 val rtt_large : t -> Recorder.t
-val messages_sent : t -> int
-val worker_tasks : t -> Kernel.Task.t list

@@ -16,7 +16,7 @@ type t = {
    sharing) pays for in Table 4. *)
 let smt_factor = 0.80
 
-let smt_behavior kernel ~work ~slice ~nap_every ~nap_ns t cell () =
+let smt_behavior kernel ~work ~slice t cell () =
   let progress ns =
     let busy_sibling =
       match !cell with
@@ -32,32 +32,20 @@ let smt_behavior kernel ~work ~slice ~nap_every ~nap_ns t cell () =
     if busy_sibling then max 1 (int_of_float (smt_factor *. float_of_int ns))
     else ns
   in
-  let rec step left ~since_nap () =
+  let rec step left () =
     if left <= 0 then begin
       t.done_count <- t.done_count + 1;
       t.last_done <- Kernel.now kernel;
       Task.Exit
     end
-    else if nap_every > 0 && since_nap >= nap_every then begin
-      ignore
-        (Sim.Engine.post_in (Kernel.engine kernel) ~delay:nap_ns (fun () ->
-             match !cell with
-             | Some task -> Kernel.wake kernel task
-             | None -> ()));
-      Task.Block { after = step left ~since_nap:0 }
-    end
     else begin
       let ns = min slice left in
-      Task.Run
-        {
-          ns;
-          after = (fun () -> step (left - progress ns) ~since_nap:(since_nap + ns) ());
-        }
+      Task.Run { ns; after = (fun () -> step (left - progress ns) ()) }
     end
   in
-  step work ~since_nap:0 ()
+  step work ()
 
-let create kernel ?sizes ?(nap_every = 0) ?(nap_ns = 200_000) ~nvms ~vcpus ~work
+let create kernel ?sizes ~nvms ~vcpus ~work
     ?(slice = 250_000) ?(stagger = 2_000_000) ~spawn () =
   (* [sizes] overrides the uniform nvms x vcpus shape: one entry per VM.
      Odd sizes matter — a VM with an odd vCPU count strands a hyperthread
@@ -73,7 +61,7 @@ let create kernel ?sizes ?(nap_every = 0) ?(nap_ns = 200_000) ~nvms ~vcpus ~work
     let cell = ref None in
     let task =
       spawn ~vm ~vcpu ~cookie:(vm + 1)
-        (smt_behavior kernel ~work ~slice ~nap_every ~nap_ns t cell)
+        (smt_behavior kernel ~work ~slice t cell)
     in
     cell := Some task;
     t.tasks <- task :: t.tasks
@@ -92,7 +80,6 @@ let create kernel ?sizes ?(nap_every = 0) ?(nap_ns = 200_000) ~nvms ~vcpus ~work
   t
 
 let tasks t = t.tasks
-let cookie_of _ (task : Task.t) = task.Task.cookie
 let all_done t = t.done_count = t.n
 let makespan t = if all_done t then Some t.last_done else None
 

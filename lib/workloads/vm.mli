@@ -12,8 +12,6 @@ type t
 val create :
   Kernel.t ->
   ?sizes:int list ->
-  ?nap_every:int ->
-  ?nap_ns:int ->
   nvms:int ->
   vcpus:int ->
   work:int ->
@@ -25,12 +23,10 @@ val create :
 (** VMs boot [stagger] ns apart (default 2 ms); tasks are created inside
     simulation events, so run the kernel to let them appear.  [sizes] gives
     per-VM vCPU counts instead of the uniform [nvms] x [vcpus]; odd sizes
-    strand hyperthreads under core scheduling.  [nap_every] > 0 makes each
-    vCPU block [nap_ns] after that much progress (guest timers/IO); bwaves
-    itself is pure compute, so the default is no naps. *)
+    strand hyperthreads under core scheduling.  bwaves is pure compute, so
+    a vCPU never blocks. *)
 
 val tasks : t -> Kernel.Task.t list
-val cookie_of : t -> Kernel.Task.t -> int
 val all_done : t -> bool
 val makespan : t -> int option
 (** Virtual time when the last vCPU finished; [None] while running. *)

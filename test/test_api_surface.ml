@@ -116,10 +116,6 @@ let test_table_degenerate_inputs () =
 let test_pp_helpers () =
   let buf = Buffer.create 64 in
   let ppf = Format.formatter_of_buffer buf in
-  Sim.Units.pp_duration ppf 1_500_000;
-  Format.pp_print_flush ppf ();
-  Alcotest.(check string) "pp_duration ms" "1.50ms" (Buffer.contents buf);
-  Buffer.clear buf;
   Ghost.Msg.pp ppf
     { Msg.kind = Msg.THREAD_WAKEUP; tid = 7; tseq = 3; cpu = 1; posted_at = 9;
       visible_at = 9 };

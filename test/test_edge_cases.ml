@@ -38,9 +38,6 @@ let test_kernel_arg_validation () =
   let t =
     Kernel.create_task k ~name:"t" (Task.compute_forever ~slice:(us 10))
   in
-  Alcotest.check_raises "nice out of range"
-    (Invalid_argument "Kernel.set_nice: out of range") (fun () ->
-      Kernel.set_nice k t 20);
   Kernel.start k t;
   Alcotest.check_raises "double start"
     (Invalid_argument "Kernel.start: task already started") (fun () ->

@@ -132,7 +132,6 @@ let test_pause_shorter_than_watchdog_survives () =
   let b = spawn_ghost k e ~name:"b" (Task.compute_forever ~slice:(us 100)) in
   Kernel.run_until k (ms 5);
   Agent.set_paused g true;
-  check_bool "paused" true (Agent.paused g);
   let exec_at_pause = a.Task.sum_exec + b.Task.sum_exec in
   Kernel.run_for k (ms 4);
   Agent.set_paused g false;

@@ -283,23 +283,6 @@ let test_eventq_model =
         ops;
       !ok)
 
-(* --- Histogram merge --------------------------------------------------------------- *)
-
-let test_histogram_merge_equiv =
-  qtest ~name:"merge equals recording the concatenation" ~count:100
-    QCheck.(pair (list (int_bound 1_000_000)) (list (int_bound 1_000_000)))
-    (fun (xs, ys) ->
-      let a = Gstats.Histogram.create () and b = Gstats.Histogram.create () in
-      let c = Gstats.Histogram.create () in
-      List.iter (Gstats.Histogram.record a) xs;
-      List.iter (Gstats.Histogram.record b) ys;
-      List.iter (Gstats.Histogram.record c) (xs @ ys);
-      Gstats.Histogram.merge_into ~dst:a b;
-      Gstats.Histogram.count a = Gstats.Histogram.count c
-      && Gstats.Histogram.sum a = Gstats.Histogram.sum c
-      && Gstats.Histogram.percentile a 50.0 = Gstats.Histogram.percentile c 50.0
-      && Gstats.Histogram.percentile a 99.0 = Gstats.Histogram.percentile c 99.0)
-
 (* --- Topology -------------------------------------------------------------------- *)
 
 let dims_gen =
@@ -584,7 +567,7 @@ let () =
         test_cpumask_roundtrip; test_cpumask_set_ops; test_cpumask_cardinal;
         test_cpumask_add_remove; test_squeue_fifo; test_squeue_overflow_accounting;
         test_squeue_visibility; test_snapshot_never_torn;
-        test_prewrite_seq_commit_estale; test_eventq_model; test_histogram_merge_equiv;
+        test_prewrite_seq_commit_estale; test_eventq_model;
         test_topology_partitions; test_topology_sibling_involution;
         test_uniform_class_identity;
         test_dsl_work_conservation; test_dsl_no_lost_threads;

@@ -603,7 +603,6 @@ let test_units () =
   check_int "us" 3_000 (Sim.Units.us 3);
   check_int "ms" 2_000_000 (Sim.Units.ms 2);
   check_int "sec" 1_000_000_000 (Sim.Units.sec 1);
-  check_int "us_f rounds" 1_500 (Sim.Units.us_f 1.5);
   Alcotest.(check (float 1e-9)) "to_ms" 1.5 (Sim.Units.to_ms 1_500_000)
 
 let () =
