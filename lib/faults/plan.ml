@@ -120,6 +120,29 @@ let opt_int opts key ~default =
 
 let ( let* ) = Result.bind
 
+(* The option keys each kind takes, besides [jitter]. *)
+let keys_of = function
+  | Crash -> []
+  | Upgrade _ -> [ "gap"; "abi" ]
+  | Stall _ -> [ "for" ]
+  | Slow _ -> [ "penalty"; "for" ]
+  | Burst _ -> [ "n" ]
+
+(* A key the kind does not take, or one given twice, would otherwise be
+   ignored, and the event would run with a default the user did not ask
+   for.  [opts] is in reverse order, so the first bad key is reported. *)
+let check_keys kind_s kind opts =
+  let keys = List.rev_map fst opts in
+  let rec go seen = function
+    | [] -> Ok ()
+    | key :: rest ->
+      if List.mem key seen then Error (Printf.sprintf "option %S given twice" key)
+      else if key <> "jitter" && not (List.mem key (keys_of kind)) then
+        Error (Printf.sprintf "%s takes no option %S" kind_s key)
+      else go (key :: seen) rest
+  in
+  go [] keys
+
 let parse_event spec =
   match String.split_on_char ':' spec with
   | [] -> Error "empty event"
@@ -163,6 +186,7 @@ let parse_event spec =
             Ok (Burst { count })
           | other -> Error (Printf.sprintf "unknown fault kind %S" other)
         in
+        let* () = check_keys kind_s kind opts in
         Ok { at; jitter; kind }
       | Some _ -> Error "negative time"))
 
