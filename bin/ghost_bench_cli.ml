@@ -69,29 +69,28 @@ let policies_cmd =
       value & flag
       & info [ "json" ] ~doc:"machine-readable output (one JSON object)")
   in
-  let kind_name (k : Policies.Dsl.Knob.kind) =
-    match k with
-    | Policies.Dsl.Knob.Time -> "time"
-    | Policies.Dsl.Knob.Int -> "int"
-    | Policies.Dsl.Knob.Bool -> "bool"
-    | Policies.Dsl.Knob.Float -> "float"
-    | Policies.Dsl.Knob.String -> "string"
+  let module Knob = Policies.Ghost_policy.Knob in
+  let kind_name : Knob.kind -> string = function
+    | Time -> "time"
+    | Int -> "int"
+    | Bool -> "bool"
+    | Float -> "float"
+    | String -> "string"
   in
   let mode_name = function `Global -> "global" | `Local -> "per-cpu" in
   let run json =
     let infos = Policies.Registry.infos () in
     if json then
-      let knob_json (k : Policies.Dsl.Knob.spec) =
+      let knob_json (k : Knob.spec) =
         Obs.Json.Obj
           [
-            ("key", Obs.Json.Str k.Policies.Dsl.Knob.key);
-            ("kind", Obs.Json.Str (kind_name k.Policies.Dsl.Knob.kind));
+            ("key", Obs.Json.Str k.key);
+            ("kind", Obs.Json.Str (kind_name k.kind));
             ( "default",
-              match k.Policies.Dsl.Knob.default with
+              match k.default with
               | None -> Obs.Json.Null
-              | Some _ ->
-                Obs.Json.Str (Policies.Dsl.Knob.render_default k) );
-            ("doc", Obs.Json.Str k.Policies.Dsl.Knob.doc);
+              | Some _ -> Obs.Json.Str (Knob.render_default k) );
+            ("doc", Obs.Json.Str k.doc);
           ]
       in
       let pol_json (i : Policies.Registry.info) =
@@ -115,12 +114,9 @@ let policies_cmd =
             (mode_name i.Policies.Registry.info_mode)
             i.Policies.Registry.info_doc;
           List.iter
-            (fun (k : Policies.Dsl.Knob.spec) ->
-              Printf.printf "    %-12s %-7s default %-8s %s\n"
-                k.Policies.Dsl.Knob.key
-                (kind_name k.Policies.Dsl.Knob.kind)
-                (Policies.Dsl.Knob.render_default k)
-                k.Policies.Dsl.Knob.doc)
+            (fun (k : Knob.spec) ->
+              Printf.printf "    %-12s %-7s default %-8s %s\n" k.key
+                (kind_name k.kind) (Knob.render_default k) k.doc)
             i.Policies.Registry.info_knobs;
           print_newline ())
         infos
@@ -149,7 +145,10 @@ let topo_cmd =
   let machine_arg =
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0
+          (some
+             (enum (List.map (fun (m : Hw.Machines.t) -> (m.name, m)) presets)))
+          None
       & info [] ~docv:"MACHINE"
           ~doc:"only this preset (default: all presets)")
   in
@@ -165,21 +164,8 @@ let topo_cmd =
            (fun c -> c = k)
            (Array.to_list (Hw.Topology.core_classes topo))) )
   in
-  let run json name cpus =
-    let picked =
-      match name with
-      | None -> presets
-      | Some n -> (
-        match
-          List.filter (fun (m : Hw.Machines.t) -> m.Hw.Machines.name = n) presets
-        with
-        | [] ->
-          Printf.eprintf "unknown machine %S (one of: %s)\n" n
-            (String.concat ", "
-               (List.map (fun (m : Hw.Machines.t) -> m.Hw.Machines.name) presets));
-          exit 2
-        | ms -> ms)
-    in
+  let run json machine cpus =
+    let picked = match machine with None -> presets | Some m -> [ m ] in
     let machine_json (m : Hw.Machines.t) =
       let topo = m.Hw.Machines.topo and costs = m.Hw.Machines.costs in
       let classes =
@@ -283,21 +269,26 @@ let experiment_cmd (R.E e) =
 (* --- faults -------------------------------------------------------------- *)
 
 (* A spec containing '@' is a full plan ("crash@80ms,burst@100ms:n=50000");
-   otherwise it names a preset, injected 40% into the run. *)
-let resolve_plan spec ~horizon_ns =
-  if String.contains spec '@' then
-    match Faults.Plan.parse spec with
-    | Ok p -> p
-    | Error e ->
-      Printf.eprintf "bad --plan %S: %s\n" spec e;
-      exit 2
-  else
-    match Faults.Plan.preset spec ~at:(horizon_ns * 2 / 5) with
-    | Some p -> p
-    | None ->
-      Printf.eprintf "unknown preset %S (one of: %s, or an explicit plan)\n" spec
-        (String.concat ", " Faults.Plan.preset_names);
-      exit 2
+   otherwise it names a preset, injected 40% into the run.  Either is
+   checked as the flag is parsed, so a bad one is a usage error. *)
+let plan_conv =
+  let parse spec =
+    if String.contains spec '@' then
+      match Faults.Plan.parse spec with
+      | Ok p -> Ok (fun ~horizon_ns:_ -> p)
+      | Error e -> Error (`Msg (Printf.sprintf "bad plan %S: %s" spec e))
+    else if List.mem spec Faults.Plan.preset_names then
+      Ok
+        (fun ~horizon_ns ->
+          Option.get (Faults.Plan.preset spec ~at:(horizon_ns * 2 / 5)))
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown preset %S (one of: %s, or an explicit plan)"
+             spec
+             (String.concat ", " Faults.Plan.preset_names)))
+  in
+  Arg.conv (parse, fun ppf _ -> Format.pp_print_string ppf "<plan>")
 
 let faults_cmd =
   let exp =
@@ -319,7 +310,7 @@ let faults_cmd =
   let plan =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some plan_conv) None
       & info [ "plan" ] ~docv:"SPEC"
           ~doc:
             "fault plan: a preset ($(b,crash), $(b,upgrade), $(b,stuck), \
@@ -339,13 +330,11 @@ let faults_cmd =
     match exp with
     | `Upgrade ->
       let measure_ns = ms duration in
-      let plan =
-        Option.map (resolve_plan ~horizon_ns:(ms 50 + measure_ns)) plan
-      in
+      let plan = Option.map (fun p -> p ~horizon_ns:(ms 50 + measure_ns)) plan in
       Experiments.Upgrade.print
         (Experiments.Upgrade.run ~measure_ns ~seed ?plan ())
     | `Resilience ->
-      let plan = Option.map (resolve_plan ~horizon_ns:(ms 100)) plan in
+      let plan = Option.map (fun p -> p ~horizon_ns:(ms 100)) plan in
       Experiments.Resilience.print
         (Experiments.Resilience.run ~scenario ~seed ?plan ())
     | `Fig6 ->
@@ -353,7 +342,7 @@ let faults_cmd =
       let horizon_ns = ms 200 + measure_ns in
       let plan =
         match plan with
-        | Some spec -> resolve_plan spec ~horizon_ns
+        | Some p -> p ~horizon_ns
         | None -> Option.get (Faults.Plan.preset "upgrade" ~at:(horizon_ns * 2 / 5))
       in
       let point, report =
@@ -484,7 +473,7 @@ let trace_cmd =
 let cluster_cmd =
   let machines_arg =
     Arg.(
-      value & opt int 2
+      value & opt positive_int 2
       & info [ "machines" ] ~docv:"N" ~doc:"fleet size (default 2)")
   in
   (* A spec the registry rejects (unknown name or knob, a negative or
@@ -534,10 +523,6 @@ let cluster_cmd =
              renders as its own process group (m0/, m1/, ...)")
   in
   let run n policy rate routing trace duration seed =
-    if n <= 0 then begin
-      Printf.eprintf "cluster: need at least one machine\n";
-      exit 1
-    end;
     Option.iter check_writable trace;
     let scenarios =
       Array.init n (fun i ->

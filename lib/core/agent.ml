@@ -7,7 +7,6 @@ type policy = {
   init : Abi.t -> unit;
   schedule : Abi.t -> Msg.t list -> unit;
   on_result : Abi.t -> Txn.t -> unit;
-  on_cpu_added : Abi.t -> int -> unit;
   on_cpu_removed : Abi.t -> int -> unit;
 }
 
@@ -43,15 +42,13 @@ type group = {
 }
 
 let make_policy ~name ?(init = fun _ -> ()) ~schedule
-    ?(on_result = fun _ _ -> ()) ?(on_cpu_added = fun _ _ -> ())
-    ?(on_cpu_removed = fun _ _ -> ()) () =
+    ?(on_result = fun _ _ -> ()) ?(on_cpu_removed = fun _ _ -> ()) () =
   {
     name;
     abi_version = Abi.version;
     init;
     schedule;
     on_result;
-    on_cpu_added;
     on_cpu_removed;
   }
 
@@ -251,8 +248,7 @@ let on_resize_global g = function
     if not (List.mem cpu !(g.cpu_list)) then begin
       g.cpu_list := !(g.cpu_list) @ [ cpu ];
       spawn_one g (fun cpu -> global_behavior g cpu) cpu;
-      Kernel.start g.kern (Hashtbl.find g.agents cpu);
-      g.pol.on_cpu_added g.abi cpu
+      Kernel.start g.kern (Hashtbl.find g.agents cpu)
     end
   | System.Cpu_removed cpu ->
     if List.mem cpu !(g.cpu_list) then begin
@@ -277,7 +273,6 @@ let on_resize_local g = function
       Sim.Idtbl.replace g.cpu_queues cpu q;
       System.associate_cpu_queue g.enc ~cpu q;
       Abi.wire_wakeup g.abi q ~wake_cpu:cpu;
-      g.pol.on_cpu_added g.abi cpu;
       Sim.Idtbl.replace g.poked cpu ();
       wake_agent g cpu
     end

@@ -37,12 +37,9 @@ type policy = {
   on_result : Abi.t -> Txn.t -> unit;
       (** Called for every submitted transaction after commit, with status
           resolved (Fig. 3/4's failure handling). *)
-  on_cpu_added : Abi.t -> int -> unit;
-      (** The enclave grew ([System.add_cpu]).  The runtime has already
-          spawned the CPU's agent (and, in local mode, its queue); the
-          policy extends its own placement state here. *)
   on_cpu_removed : Abi.t -> int -> unit;
-      (** The enclave shrank.  The runtime has retired the CPU's agent and
+      (** The enclave shrank (a CPU that joins arrives as a CPU_AVAILABLE
+          message instead).  The runtime has retired the CPU's agent and
           re-pointed its queues; the policy re-homes any thread state it
           kept for the CPU (the threads themselves come back with
           THREAD_PREEMPTED messages). *)
@@ -53,7 +50,6 @@ val make_policy :
   ?init:(Abi.t -> unit) ->
   schedule:(Abi.t -> Msg.t list -> unit) ->
   ?on_result:(Abi.t -> Txn.t -> unit) ->
-  ?on_cpu_added:(Abi.t -> int -> unit) ->
   ?on_cpu_removed:(Abi.t -> int -> unit) ->
   unit ->
   policy

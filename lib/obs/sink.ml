@@ -1096,6 +1096,44 @@ let read_binary ~path =
           for i = 0 to nwords - 1 do
             t.ring.(i) <- get_int ()
           done;
+          (* Decoding trusts what it reads, so check the file once here:
+             signature keys and every record's tag (known, and not a pad:
+             the file holds none), words, signature and names against the
+             stored words and tables. *)
+          let nnames = Array.length names and nsigs = Array.length sigs in
+          Array.iteri
+            (fun s ->
+              Array.iter (fun code ->
+                  if code < 0 || code asr 1 >= nnames then
+                    fail "signature %d: key %d of %d" s (code asr 1) nnames))
+            sigs;
+          let rec walk o n =
+            if o = nwords then n
+            else begin
+              let m = t.ring.(o) in
+              let tag = meta_tag m and s = meta_sig m in
+              if tag > tag_tick then fail "record %d: bad tag %d" n tag;
+              if s >= nsigs then fail "record %d: signature %d of %d" n s nsigs;
+              let base = base_size.(tag) in
+              let size = base + Array.length sigs.(s) in
+              if size > nwords - o then
+                fail "record %d: %d words, %d left" n size (nwords - o);
+              let name w =
+                let id = t.ring.(o + w) in
+                if id < 0 || id >= nnames then
+                  fail "record %d: name %d of %d" n id nnames
+              in
+              if tag = tag_span_begin || tag = tag_dispatch then name 4
+              else if tag = tag_instant then name 2;
+              Array.iteri
+                (fun i code -> if code land 1 = 1 then name (base + i))
+                sigs.(s);
+              walk (o + size) (n + 1)
+            end
+          in
+          let found = walk 0 0 in
+          if found <> stored then
+            fail "%d records stored, %d found" stored found;
           t.head <- nwords;
           t.written <- stored;
           t.max_time <- max_time;

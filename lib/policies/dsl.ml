@@ -41,53 +41,6 @@ module Outcome = struct
     | Txn.Pending -> Pending
 end
 
-(* --- Declarative knobs ------------------------------------------------------- *)
-
-(* A knob is a declared, typed parameter: the registry parses it from the
-   spec string ("shinjuku?timeslice=30us"), the CLI lists it with its
-   default, and resolved values auto-publish as [policy.<name>.knob.<key>]
-   Obs gauges at stats-publication time. *)
-module Knob = struct
-  type kind = Time | Int | Bool | Float | String
-
-  type spec = {
-    key : string;
-    kind : kind;
-    default : Ghost_policy.value option;  (* [None] renders as "unset" *)
-    doc : string;
-  }
-
-  let time key ~default doc =
-    { key; kind = Time; default = Some (Ghost_policy.Int default); doc }
-
-  let time_opt key doc = { key; kind = Time; default = None; doc }
-
-  let int key ~default doc =
-    { key; kind = Int; default = Some (Ghost_policy.Int default); doc }
-
-  let bool key ~default doc =
-    { key; kind = Bool; default = Some (Ghost_policy.Bool default); doc }
-
-  let string key ~default doc =
-    { key; kind = String; default = Some (Ghost_policy.String default); doc }
-
-  let render_time ns =
-    if ns <> 0 && ns mod 1_000_000_000 = 0 then
-      Printf.sprintf "%ds" (ns / 1_000_000_000)
-    else if ns <> 0 && ns mod 1_000_000 = 0 then
-      Printf.sprintf "%dms" (ns / 1_000_000)
-    else if ns <> 0 && ns mod 1_000 = 0 then Printf.sprintf "%dus" (ns / 1_000)
-    else Printf.sprintf "%dns" ns
-
-  let render_value spec (v : Ghost_policy.value) =
-    match (spec.kind, v) with
-    | Time, Ghost_policy.Int ns -> render_time ns
-    | _, v -> Ghost_policy.value_to_string v
-
-  let render_default spec =
-    match spec.default with None -> "unset" | Some v -> render_value spec v
-end
-
 (* --- Ordered run-queues ------------------------------------------------------ *)
 
 (* One run-queue implementation for the whole library (the former
@@ -349,7 +302,6 @@ module Centralized = struct
     nclasses : int;
     classify : Abi.t -> Task.t -> int;
     donate_idle : bool;
-    evict_lower : bool;
     msg_charge : int;
     assign_charge : int;
     track_assigned : bool;
@@ -376,7 +328,6 @@ module Centralized = struct
     running : Running.t;
     stats : stats;
     fp : Fastpath.t option;
-    wakeup_gated : bool;
     (* Live-tunable knob cells: static policies set them once at build
        time; the adaptive controller rewrites them between passes. *)
     mutable timeslice : int option;
@@ -415,7 +366,7 @@ module Centralized = struct
            the rest wait for an agent pass (collisions in the hashed map
            can let one through — a valid placement, just undeserved). *)
         (match t.fp with
-        | Some _ when t.wakeup_gated ->
+        | Some _ when t.nclasses > 1 ->
           Fastpath.set_cls ctx ~cls_mask ~tid (c = 0)
         | Some _ | None -> ());
         c
@@ -578,7 +529,7 @@ module Centralized = struct
       let base_cpus = base_cpus t ctx agent_cpu in
       let cpus = t.cpu_rank ctx base_cpus in
       fill t ctx cpus;
-      if t.evict_lower then evict t ctx cpus;
+      if t.nclasses > 1 then evict t ctx cpus;
       (match t.timeslice with
       | None -> ()
       | Some slice -> rotate t ctx ~now:(Abi.now ctx) ~slice cpus);
@@ -617,8 +568,8 @@ module Centralized = struct
     | Outcome.Pending -> ()
 
   let make ~name ?(nclasses = 1) ?(classify = fun _ _ -> 0) ?timeslice
-      ?(donate_idle = false) ?(evict_lower = false) ?(fastpath = false)
-      ?(wakeup_gated = false) ?(msg_charge = 25) ?(assign_charge = 40)
+      ?(donate_idle = false) ?(fastpath = false) ?(msg_charge = 25)
+      ?(assign_charge = 40)
       ?(track_assigned = true) ?(forget_on_preempt = false)
       ?(queue_order = fun _ -> Rq.Fifo) ?(cpu_rank = fun _ cpus -> cpus)
       ?(donate_rank = fun _ cpus -> cpus) () =
@@ -629,7 +580,6 @@ module Centralized = struct
         nclasses;
         classify;
         donate_idle;
-        evict_lower;
         msg_charge;
         assign_charge;
         track_assigned;
@@ -653,7 +603,6 @@ module Centralized = struct
             estales = 0;
           };
         fp;
-        wakeup_gated;
         timeslice;
         donate_max = None;
         on_pass = None;
@@ -675,7 +624,7 @@ module Centralized = struct
           | Some fp ->
             ignore (Fastpath.install_pick fp ctx);
             ignore
-              (if t.wakeup_gated then
+              (if t.nclasses > 1 then
                  Fastpath.install_wakeup_gated ctx ~cls_mask
                else Fastpath.install_wakeup ctx);
             (match t.timeslice with
@@ -823,13 +772,12 @@ module Percpu = struct
       if home <> Abi.cpu ctx then Abi.poke ctx home
     | Outcome.Pending -> ()
 
-  let make ~name ?(msg_charge = 25) ?(assign_charge = 40) ?(steal_min = 2) ()
-      =
+  let make ~name () =
     let t =
       {
-        msg_charge;
-        assign_charge;
-        steal_min;
+        msg_charge = 25;
+        assign_charge = 40;
+        steal_min = 2;
         runqs = Buckets.create ();
         home = Sim.Idtbl.create ();
         next_home = 0;
@@ -882,14 +830,13 @@ end
    pre-classified as {!Outcome.t}.  For policies whose pass is genuinely
    bespoke (Search's cache-distance placement, secure-vm's core commits)
    but which still use the DSL queues and commit assembly. *)
-let agent ~name ?init ~schedule ?on_outcome ?on_cpu_added ?on_cpu_removed () =
+let agent ~name ?init ~schedule ?on_outcome ?on_cpu_removed () =
   let on_result =
     Option.map
       (fun f -> fun ctx txn -> f ctx (Outcome.of_txn txn))
       on_outcome
   in
-  Ghost.Agent.make_policy ~name ?init ~schedule ?on_result ?on_cpu_added
-    ?on_cpu_removed ()
+  Ghost.Agent.make_policy ~name ?init ~schedule ?on_result ?on_cpu_removed ()
 
 (* Re-badge a policy built by a template (shinjuku and snap are renamed
    parameterizations of the central engine). *)

@@ -4,7 +4,7 @@
    ({!Rq}: FIFO, least-key/EDF, {!Buckets} for keyed families), pick a
    scheduling template ({!Centralized} — one spinning global agent with
    priority classes — or {!Percpu} — one agent per CPU with work stealing),
-   declare {!Knob}s, and hook the few decisions that are genuinely policy.
+   and hook the few decisions that are genuinely policy.
    Message dispatch, dedup bookkeeping, group-commit assembly, preemption
    accounting, fastpath publication and rebuild-after-upgrade live here,
    written once and model-checked once (test/test_properties.ml).
@@ -31,33 +31,6 @@ module Outcome : sig
     | Gone of int  (** ENOENT: the thread died before the commit landed *)
     | Rejected of { tid : int; estale : bool }  (** retry: requeue the tid *)
     | Pending
-end
-
-(** A knob is a declared, typed parameter: the registry parses it from the
-    spec string ("shinjuku?timeslice=30us"), the CLI lists it with its
-    default ([ghost_bench_cli policies]), and resolved values auto-publish
-    as [policy.<name>.knob.<key>] Obs gauges at stats-publication time. *)
-module Knob : sig
-  type kind = Time | Int | Bool | Float | String
-
-  type spec = {
-    key : string;
-    kind : kind;
-    default : Ghost_policy.value option;  (** [None] renders as "unset" *)
-    doc : string;
-  }
-
-  val time : string -> default:int -> string -> spec
-  (** [time key ~default doc]: a duration knob, default in ns. *)
-
-  val time_opt : string -> string -> spec
-  (** A duration knob with no default (e.g. an optional timeslice). *)
-
-  val int : string -> default:int -> string -> spec
-  val bool : string -> default:bool -> string -> spec
-  val string : string -> default:string -> string -> spec
-
-  val render_default : spec -> string
 end
 
 (** One run-queue implementation for the whole library (the former
@@ -240,9 +213,7 @@ module Centralized : sig
     ?classify:(Abi.t -> Task.t -> int) ->
     ?timeslice:int ->
     ?donate_idle:bool ->
-    ?evict_lower:bool ->
     ?fastpath:bool ->
-    ?wakeup_gated:bool ->
     ?msg_charge:int ->
     ?assign_charge:int ->
     ?track_assigned:bool ->
@@ -252,7 +223,9 @@ module Centralized : sig
     ?donate_rank:(Abi.t -> int list -> int list) ->
     unit ->
     t * Ghost.Agent.policy
-  (** [track_assigned] (default true) is the central-style pass: the agent
+  (** With [nclasses > 1] each pass evicts lower-class threads for waiting
+      class-0 work, and the fastpath's wakeup program admits class 0 only.
+      [track_assigned] (default true) is the central-style pass: the agent
       CPU is filtered once and an assigned set keeps later phases off CPUs
       already committed this pass.  Off: the original fifo-centralized
       shape (no set, fresh CPU scans).  [init] rebuilds the queues from
@@ -284,16 +257,11 @@ module Percpu : sig
 
   val stats : t -> stats
 
-  val make :
-    name:string ->
-    ?msg_charge:int ->
-    ?assign_charge:int ->
-    ?steal_min:int ->
-    unit ->
-    t * Ghost.Agent.policy
-  (** [steal_min]: only steal from sibling queues at least this deep.
-      [init] rebuilds homes and queues from [managed_threads]; a removed
-      CPU's queue migrates to the live CPUs. *)
+  val make : name:string -> unit -> t * Ghost.Agent.policy
+  (** Charges 25 ns per message and 40 per commit, and steals only from
+      sibling queues at least 2 deep.  [init] rebuilds homes and queues
+      from [managed_threads]; a removed CPU's queue migrates to the live
+      CPUs. *)
 end
 
 val agent :
@@ -301,7 +269,6 @@ val agent :
   ?init:(Abi.t -> unit) ->
   schedule:(Abi.t -> Msg.t list -> unit) ->
   ?on_outcome:(Abi.t -> Outcome.t -> unit) ->
-  ?on_cpu_added:(Abi.t -> int -> unit) ->
   ?on_cpu_removed:(Abi.t -> int -> unit) ->
   unit ->
   Ghost.Agent.policy

@@ -6,8 +6,7 @@
 type t = Dsl.Percpu.t
 
 let policy () =
-  Dsl.Percpu.make ~name:"fifo-percpu" ~msg_charge:25 ~assign_charge:40
-    ~steal_min:2 ()
+  Dsl.Percpu.make ~name:"fifo-percpu" ()
 
 let scheduled t = (Dsl.Percpu.stats t).Dsl.Percpu.scheduled
 let estale_retries t = (Dsl.Percpu.stats t).Dsl.Percpu.estales

@@ -72,8 +72,46 @@ let parse_spec spec =
     in
     (name, kvs)
 
-(* Parameter reader: accessors consume keys; [finish] rejects leftovers so
-   a typo in a spec fails loudly instead of silently using a default. *)
+(* A knob is a declared, typed parameter: the registry parses it from the
+   spec string ("shinjuku?timeslice=30us"), the CLI lists it with its
+   default, and resolved values auto-publish as [policy.<name>.knob.<key>]
+   Obs gauges at stats-publication time. *)
+module Knob = struct
+  type kind = Time | Int | Bool | Float | String
+
+  type spec = {
+    key : string;
+    kind : kind;
+    default : value option;  (* [None] renders as "unset" *)
+    doc : string;
+  }
+
+  let time key ~default doc = { key; kind = Time; default = Some (Int default); doc }
+  let time_opt key doc = { key; kind = Time; default = None; doc }
+  let int key ~default doc = { key; kind = Int; default = Some (Int default); doc }
+  let bool key ~default doc = { key; kind = Bool; default = Some (Bool default); doc }
+
+  let string key ~default doc =
+    { key; kind = String; default = Some (String default); doc }
+
+  let render_time ns =
+    if ns <> 0 && ns mod 1_000_000_000 = 0 then
+      Printf.sprintf "%ds" (ns / 1_000_000_000)
+    else if ns <> 0 && ns mod 1_000_000 = 0 then
+      Printf.sprintf "%dms" (ns / 1_000_000)
+    else if ns <> 0 && ns mod 1_000 = 0 then Printf.sprintf "%dus" (ns / 1_000)
+    else Printf.sprintf "%dns" ns
+
+  let render_default spec =
+    match (spec.kind, spec.default) with
+    | _, None -> "unset"
+    | Time, Some (Int ns) -> render_time ns
+    | _, Some v -> value_to_string v
+end
+
+(* Parameter reader: each accessor consumes a declared knob's key; [finish]
+   rejects leftovers so a typo in a spec fails loudly instead of silently
+   using a default. *)
 module Params = struct
   type t = {
     policy : string;
@@ -98,42 +136,40 @@ module Params = struct
   let record p key v =
     p.consumed <- (key, v) :: p.consumed
 
-  let int p key ~default =
-    let i =
-      match take p key with
-      | None -> default
-      | Some (Int i) -> i
-      | Some v -> bad p key v "time/int"
-    in
-    record p key (Int i);
-    i
+  (* The knob's value in the spec, else its default.  A duration is never
+     negative; zero stays valid (it disables some knobs, e.g. search's
+     pending_wait). *)
+  let given p (k : Knob.spec) =
+    match take p k.key with
+    | Some (Int ns) when k.kind = Knob.Time && ns < 0 ->
+      invalid_arg
+        (Printf.sprintf "policy %s: parameter %s=%dns is a negative time"
+           p.policy k.key ns)
+    | Some v -> Some v
+    | None -> k.default
 
-  let int_opt p key =
-    match take p key with
+  let int_opt p (k : Knob.spec) =
+    match given p k with
     | None -> None
     | Some (Int i) ->
-      record p key (Int i);
+      record p k.key (Int i);
       Some i
-    | Some v -> bad p key v "time/int"
+    | Some v -> bad p k.key v "time/int"
 
-  let bool p key ~default =
-    let b =
-      match take p key with
-      | None -> default
-      | Some (Bool b) -> b
-      | Some v -> bad p key v "bool"
-    in
-    record p key (Bool b);
-    b
+  let int p k = Option.get (int_opt p k)
 
-  let string p key ~default =
+  let bool p (k : Knob.spec) =
+    match Option.get (given p k) with
+    | Bool b ->
+      record p k.key (Bool b);
+      b
+    | v -> bad p k.key v "bool"
+
+  let string p (k : Knob.spec) =
     let s =
-      match take p key with
-      | None -> default
-      | Some (String s) -> s
-      | Some v -> value_to_string v
+      match Option.get (given p k) with String s -> s | v -> value_to_string v
     in
-    record p key (String s);
+    record p k.key (String s);
     s
 
   let consumed p = List.rev p.consumed
@@ -156,19 +192,3 @@ type instance = {
   stats : unit -> (string * int) list;  (* live snapshot, sorted keys *)
   knobs : (string * value) list;  (* resolved knob values, defaults included *)
 }
-
-(* The contract a policy module satisfies to be registrable.  The concrete
-   modules in this library predate the interface and expose richer typed
-   constructors; [Registry] adapts them.  New policies can implement [S]
-   directly and register with {!Registry.register}. *)
-module type S = sig
-  val name : string
-  val mode : mode
-  val doc : string
-
-  val make : Params.t -> Agent.policy * (unit -> (string * int) list)
-  (** Construct from parsed parameters.  Must call [Params.finish] (or let
-      the registry do it) and must tolerate being attached to an enclave
-      whose CPU set changes at runtime (the [on_cpu_added]/[on_cpu_removed]
-      hooks of {!Ghost.Agent.policy}). *)
-end

@@ -11,8 +11,6 @@ type mode = [ `Global | `Local ]
 
 type value = Int of int | Bool of bool | Float of float | String of string
 
-val value_to_string : value -> string
-
 val parse_value : string -> value
 (** Booleans, integers, suffixed times (to ns), floats, else strings. *)
 
@@ -20,16 +18,47 @@ val parse_spec : string -> string * (string * value) list
 (** ["name?k=v&k2=v2"] -> [("name", [(k, v); ...])].  A key without [=] is
     a boolean flag. *)
 
-(** Parameter reader handed to a policy's [make]: accessors consume keys,
-    and {!Params.finish} rejects any leftover (unknown) keys. *)
+(** A knob is a declared, typed parameter: the registry parses it from the
+    spec string ("shinjuku?timeslice=30us"), the CLI lists it with its
+    default ([ghost_bench_cli policies]), and resolved values auto-publish
+    as [policy.<name>.knob.<key>] Obs gauges at stats-publication time. *)
+module Knob : sig
+  type kind = Time | Int | Bool | Float | String
+
+  type spec = {
+    key : string;
+    kind : kind;
+    default : value option;  (** [None] renders as "unset" *)
+    doc : string;
+  }
+
+  val time : string -> default:int -> string -> spec
+  (** [time key ~default doc]: a duration knob, default in ns. *)
+
+  val time_opt : string -> string -> spec
+  (** A duration knob with no default (e.g. an optional timeslice). *)
+
+  val int : string -> default:int -> string -> spec
+  val bool : string -> default:bool -> string -> spec
+  val string : string -> default:string -> string -> spec
+
+  val render_default : spec -> string
+end
+
+(** Parameter reader handed to a policy's [make]: each accessor consumes a
+    declared knob's key and returns the spec's value, else the knob's
+    default, and {!Params.finish} rejects any leftover (unknown) keys.  The
+    accessors raise [Invalid_argument] on a value of the wrong type or a
+    negative [Time]; [int], [bool] and [string] need a knob with a
+    default. *)
 module Params : sig
   type t
 
   val of_list : policy:string -> (string * value) list -> t
-  val int : t -> string -> default:int -> int
-  val int_opt : t -> string -> int option
-  val bool : t -> string -> default:bool -> bool
-  val string : t -> string -> default:string -> string
+  val int : t -> Knob.spec -> int
+  val int_opt : t -> Knob.spec -> int option
+  val bool : t -> Knob.spec -> bool
+  val string : t -> Knob.spec -> string
 
   val finish : t -> unit
   (** Raises [Invalid_argument] naming any unconsumed keys. *)
@@ -49,11 +78,3 @@ type instance = {
   knobs : (string * value) list;
       (** resolved knob values, defaults included *)
 }
-
-(** The contract a registrable policy module satisfies. *)
-module type S = sig
-  val name : string
-  val mode : mode
-  val doc : string
-  val make : Params.t -> Ghost.Agent.policy * (unit -> (string * int) list)
-end

@@ -5,13 +5,14 @@
 
 module Agent = Ghost.Agent
 module System = Ghost.System
+module K = Ghost_policy.Knob
 module P = Ghost_policy.Params
 
 type entry = {
   name : string;
   mode : Ghost_policy.mode;
   doc : string;
-  knobs : Dsl.Knob.spec list;
+  knobs : Ghost_policy.Knob.spec list;
   make : P.t -> Agent.policy * (unit -> (string * int) list);
 }
 
@@ -19,7 +20,7 @@ type info = {
   info_name : string;
   info_mode : Ghost_policy.mode;
   info_doc : string;
-  info_knobs : Dsl.Knob.spec list;
+  info_knobs : Ghost_policy.Knob.spec list;
 }
 
 let table : (string, entry) Hashtbl.t = Hashtbl.create 16
@@ -58,17 +59,6 @@ let make spec =
       (Printf.sprintf "unknown policy %s (known: %s)" name
          (String.concat ", " (names ())))
   | Some e ->
-    (* A duration is never negative; zero stays valid (it disables some
-       knobs, e.g. search's pending_wait). *)
-    List.iter
-      (fun (k : Dsl.Knob.spec) ->
-        match (k.kind, List.assoc_opt k.key kvs) with
-        | Dsl.Knob.Time, Some (Ghost_policy.Int ns) when ns < 0 ->
-          invalid_arg
-            (Printf.sprintf "policy %s: parameter %s=%dns is a negative time"
-               name k.key ns)
-        | _ -> ())
-      e.knobs;
     let p = P.of_list ~policy:name kvs in
     let policy, stats = e.make p in
     P.finish p;
@@ -129,27 +119,36 @@ let central_stats ~stats ~backlog () =
     ("lc_scheduled", s.Central.lc_scheduled);
   ]
 
+(* Each policy's knobs are declared once, and its constructor reads them
+   back by spec, in declaration order. *)
+let fastpath_gated =
+  K.bool "fastpath" ~default:false
+    "install the BPF fastpath tier (gated wakeup, pick ring, tick)"
+
 let () =
+  let timeslice =
+    K.time_opt "timeslice"
+      "preempt ghOSt threads past this slice when work waits (unset: run to \
+       block)"
+  and fastpath =
+    K.bool "fastpath" ~default:false
+      "install the BPF fastpath tier (wakeup, pick ring, tick)"
+  in
   register ~name:"fifo-centralized" ~mode:`Global
     ~doc:"Centralized FIFO with optional timeslice preemption (Fig. 5)"
-    ~knobs:
-      [
-        Dsl.Knob.time_opt "timeslice"
-          "preempt ghOSt threads past this slice when work waits (unset: \
-           run to block)";
-        Dsl.Knob.bool "fastpath" ~default:false
-          "install the BPF fastpath tier (wakeup, pick ring, tick)";
-      ]
+    ~knobs:[ timeslice; fastpath ]
     (fun p ->
-      let timeslice = P.int_opt p "timeslice" in
-      let fastpath = P.bool p "fastpath" ~default:false in
+      let timeslice = P.int_opt p timeslice in
+      let fastpath = P.bool p fastpath in
       let t, pol = Fifo_centralized.policy ?timeslice ~fastpath () in
       ( pol,
         fun () ->
           [
             ("queue_depth", Fifo_centralized.queue_depth t);
             ("scheduled", Fifo_centralized.scheduled t);
-          ] ));
+          ] ))
+
+let () =
   register ~name:"fifo-percpu" ~mode:`Local
     ~doc:"Per-CPU FIFO with round-robin placement and work stealing (Fig. 3)"
     (fun p ->
@@ -161,27 +160,29 @@ let () =
             ("estale_retries", Fifo_percpu.estale_retries t);
             ("scheduled", Fifo_percpu.scheduled t);
             ("steals", Fifo_percpu.steals t);
-          ] ));
+          ] ))
+
+let () =
+  let lc_prefix =
+    K.string "lc_prefix" ~default:"worker"
+      "task-name prefix classified latency-critical"
+  and timeslice =
+    K.time_opt "timeslice"
+      "preempt LC threads past this slice when LC work waits"
+  and schedule_be =
+    K.bool "schedule_be" ~default:true
+      "donate leftover idle CPUs to best-effort threads"
+  in
   register ~name:"central" ~mode:`Global
     ~doc:
       "Two-class centralized engine; lc_prefix names latency-critical \
        threads (default worker)"
-    ~knobs:
-      [
-        Dsl.Knob.string "lc_prefix" ~default:"worker"
-          "task-name prefix classified latency-critical";
-        Dsl.Knob.time_opt "timeslice"
-          "preempt LC threads past this slice when LC work waits";
-        Dsl.Knob.bool "schedule_be" ~default:true
-          "donate leftover idle CPUs to best-effort threads";
-        Dsl.Knob.bool "fastpath" ~default:false
-          "install the BPF fastpath tier (gated wakeup, pick ring, tick)";
-      ]
+    ~knobs:[ lc_prefix; timeslice; schedule_be; fastpath_gated ]
     (fun p ->
-      let lc_prefix = P.string p "lc_prefix" ~default:"worker" in
-      let timeslice = P.int_opt p "timeslice" in
-      let schedule_be = P.bool p "schedule_be" ~default:true in
-      let fastpath = P.bool p "fastpath" ~default:false in
+      let lc_prefix = P.string p lc_prefix in
+      let timeslice = P.int_opt p timeslice in
+      let schedule_be = P.bool p schedule_be in
+      let fastpath = P.bool p fastpath_gated in
       let classify task =
         if prefix_pred lc_prefix task then Central.Lc else Central.Be
       in
@@ -189,25 +190,27 @@ let () =
       ( pol,
         central_stats
           ~stats:(fun () -> Central.stats t)
-          ~backlog:(fun () -> Central.lc_backlog t) ));
+          ~backlog:(fun () -> Central.lc_backlog t) ))
+
+let () =
+  let timeslice =
+    K.time "timeslice" ~default:30_000
+      "preemption quantum for latency-critical threads"
+  and shenango_ext =
+    K.bool "shenango_ext" ~default:false
+      "Shenango extension: donate idle CPUs to batch threads"
+  and batch_prefix =
+    K.string "batch_prefix" ~default:"batch"
+      "task-name prefix classified batch (best-effort)"
+  in
   register ~name:"shinjuku" ~mode:`Global
     ~doc:"ghOSt-Shinjuku: 30us preemptive centralized scheduling (Fig. 6)"
-    ~knobs:
-      [
-        Dsl.Knob.time "timeslice" ~default:30_000
-          "preemption quantum for latency-critical threads";
-        Dsl.Knob.bool "shenango_ext" ~default:false
-          "Shenango extension: donate idle CPUs to batch threads";
-        Dsl.Knob.bool "fastpath" ~default:false
-          "install the BPF fastpath tier (gated wakeup, pick ring, tick)";
-        Dsl.Knob.string "batch_prefix" ~default:"batch"
-          "task-name prefix classified batch (best-effort)";
-      ]
+    ~knobs:[ timeslice; shenango_ext; fastpath_gated; batch_prefix ]
     (fun p ->
-      let timeslice = P.int p "timeslice" ~default:30_000 in
-      let shenango_ext = P.bool p "shenango_ext" ~default:false in
-      let fastpath = P.bool p "fastpath" ~default:false in
-      let batch_prefix = P.string p "batch_prefix" ~default:"batch" in
+      let timeslice = P.int p timeslice in
+      let shenango_ext = P.bool p shenango_ext in
+      let fastpath = P.bool p fastpath_gated in
+      let batch_prefix = P.string p batch_prefix in
       let t, pol =
         Shinjuku.policy ~timeslice ~shenango_ext ~fastpath
           ~is_batch:(prefix_pred batch_prefix) ()
@@ -215,46 +218,49 @@ let () =
       ( pol,
         central_stats
           ~stats:(fun () -> Shinjuku.stats t)
-          ~backlog:(fun () -> Shinjuku.lc_backlog t) ));
+          ~backlog:(fun () -> Shinjuku.lc_backlog t) ))
+
+let () =
+  let worker_prefix =
+    K.string "worker_prefix" ~default:"worker"
+      "task-name prefix classified as a Snap worker"
+  in
   register ~name:"snap" ~mode:`Global
     ~doc:"Google Snap: workers strictly over antagonists, no timeslice (§4.3)"
-    ~knobs:
-      [
-        Dsl.Knob.string "worker_prefix" ~default:"worker"
-          "task-name prefix classified as a Snap worker";
-      ]
+    ~knobs:[ worker_prefix ]
     (fun p ->
-      let worker_prefix = P.string p "worker_prefix" ~default:"worker" in
+      let worker_prefix = P.string p worker_prefix in
       let t, pol = Snap_policy.policy ~is_worker:(prefix_pred worker_prefix) () in
       ( pol,
         central_stats
           ~stats:(fun () -> Snap_policy.stats t)
-          ~backlog:(fun () -> Snap_policy.lc_backlog t) ));
+          ~backlog:(fun () -> Snap_policy.lc_backlog t) ))
+
+let () =
+  let numa_aware =
+    K.bool "numa_aware" ~default:true "prefer same-socket CCXs when fanning out"
+  and ccx_aware =
+    K.bool "ccx_aware" ~default:true
+      "scan CPUs in increasing cache distance from the last CPU"
+  and pending_wait =
+    K.time "pending_wait" ~default:100_000
+      "hold a thread this long before paying a CCX migration (0 disables)"
+  and fastpath =
+    K.bool "fastpath" ~default:false
+      "install the BPF pick ring for unplaceable threads"
+  in
   register ~name:"search" ~mode:`Global
     ~doc:
       "Google Search: least-runtime-first with cache-distance placement \
        (§4.4); pending_wait=0 disables the 100us hold"
-    ~knobs:
-      [
-        Dsl.Knob.bool "numa_aware" ~default:true
-          "prefer same-socket CCXs when fanning out";
-        Dsl.Knob.bool "ccx_aware" ~default:true
-          "scan CPUs in increasing cache distance from the last CPU";
-        Dsl.Knob.time "pending_wait" ~default:100_000
-          "hold a thread this long before paying a CCX migration (0 \
-           disables)";
-        Dsl.Knob.bool "fastpath" ~default:false
-          "install the BPF pick ring for unplaceable threads";
-      ]
+    ~knobs:[ numa_aware; ccx_aware; pending_wait; fastpath ]
     (fun p ->
-      let numa_aware = P.bool p "numa_aware" ~default:true in
-      let ccx_aware = P.bool p "ccx_aware" ~default:true in
+      let numa_aware = P.bool p numa_aware in
+      let ccx_aware = P.bool p ccx_aware in
       let pending_wait =
-        match P.int p "pending_wait" ~default:100_000 with
-        | 0 -> None
-        | ns -> Some ns
+        match P.int p pending_wait with 0 -> None | ns -> Some ns
       in
-      let fastpath = P.bool p "fastpath" ~default:false in
+      let fastpath = P.bool p fastpath in
       let config =
         { Search_policy.numa_aware; ccx_aware; pending_wait; fastpath }
       in
@@ -270,19 +276,22 @@ let () =
             ("placed_remote", s.Search_policy.placed_remote);
             ("placed_socket", s.Search_policy.placed_socket);
             ("skipped", s.Search_policy.skipped);
-          ] ));
+          ] ))
+
+let () =
+  let quantum =
+    K.time "quantum" ~default:500_000
+      "guaranteed core tenure before rotating to another VM"
+  and eager_pairing =
+    K.bool "eager_pairing" ~default:false
+      "always pair vCPUs on a core (default: only under core pressure)"
+  in
   register ~name:"secure-vm" ~mode:`Global
     ~doc:"Per-core VM isolation with quantum rotation (§4.5)"
-    ~knobs:
-      [
-        Dsl.Knob.time "quantum" ~default:500_000
-          "guaranteed core tenure before rotating to another VM";
-        Dsl.Knob.bool "eager_pairing" ~default:false
-          "always pair vCPUs on a core (default: only under core pressure)";
-      ]
+    ~knobs:[ quantum; eager_pairing ]
     (fun p ->
-      let quantum = P.int p "quantum" ~default:500_000 in
-      let eager_pairing = P.bool p "eager_pairing" ~default:false in
+      let quantum = P.int p quantum in
+      let eager_pairing = P.bool p eager_pairing in
       let t, pol = Secure_vm.policy ~quantum ~eager_pairing () in
       ( pol,
         fun () ->
@@ -292,28 +301,29 @@ let () =
             ("pair_commits", s.Secure_vm.pair_commits);
             ("rotations", s.Secure_vm.rotations);
             ("single_commits", s.Secure_vm.single_commits);
-          ] ));
+          ] ))
+
+let () =
+  let deadline =
+    K.time "deadline" ~default:16_667_000
+      "per-frame budget added to the runnable instant (one 60 Hz frame)"
+  and timeslice =
+    K.time_opt "timeslice"
+      "preempt frames past this slice when other frames wait"
+  and frame_prefix =
+    K.string "frame_prefix" ~default:"frame"
+      "task-name prefix classified as frame (deadline) work"
+  in
   register ~name:"hybrid-edf" ~mode:`Global
     ~doc:
       "Hybrid-aware EDF: frames earliest-deadline-first on P cores with \
        E-core spillover, batch on donated E cores (ABI v3)"
-    ~knobs:
-      [
-        Dsl.Knob.time "deadline" ~default:16_667_000
-          "per-frame budget added to the runnable instant (one 60 Hz \
-           frame)";
-        Dsl.Knob.time_opt "timeslice"
-          "preempt frames past this slice when other frames wait";
-        Dsl.Knob.string "frame_prefix" ~default:"frame"
-          "task-name prefix classified as frame (deadline) work";
-        Dsl.Knob.bool "fastpath" ~default:false
-          "install the BPF fastpath tier (gated wakeup, pick ring, tick)";
-      ]
+    ~knobs:[ deadline; timeslice; frame_prefix; fastpath_gated ]
     (fun p ->
-      let deadline = P.int p "deadline" ~default:16_667_000 in
-      let timeslice = P.int_opt p "timeslice" in
-      let frame_prefix = P.string p "frame_prefix" ~default:"frame" in
-      let fastpath = P.bool p "fastpath" ~default:false in
+      let deadline = P.int p deadline in
+      let timeslice = P.int_opt p timeslice in
+      let frame_prefix = P.string p frame_prefix in
+      let fastpath = P.bool p fastpath_gated in
       let t, pol =
         Hybrid_edf.policy ~deadline ?timeslice ~fastpath
           ~is_frame:(prefix_pred frame_prefix) ()
@@ -328,37 +338,41 @@ let () =
             ("frame_backlog", Hybrid_edf.frame_backlog t);
             ("frame_preemptions", s.Hybrid_edf.frame_preemptions);
             ("frames_scheduled", s.Hybrid_edf.frames_scheduled);
-          ] ));
+          ] ))
+
+let () =
+  let period = K.time "period" ~default:1_000_000 "feedback controller period"
+  and target_p99 =
+    K.time "target_p99" ~default:100_000
+      "wakeup-to-dispatch p99 the controller steers toward"
+  and timeslice =
+    K.time "timeslice" ~default:250_000 "initial (relaxed) LC timeslice"
+  and min_slice =
+    K.time "min_slice" ~default:25_000
+      "tightest timeslice the controller may set"
+  and backlog_hi =
+    K.int "backlog_hi" ~default:4 "LC backlog treated as pressure"
+  and lc_prefix =
+    K.string "lc_prefix" ~default:"worker"
+      "task-name prefix classified latency-critical"
+  and frozen =
+    K.bool "frozen" ~default:false "disable the controller (static-knob variant)"
+  in
   register ~name:"adaptive" ~mode:`Global
     ~doc:
       "Self-tuning two-class engine: a periodic controller reads its own \
        Obs metrics (wd p99, backlog) and retunes slice/donation online; \
        frozen=true pins the initial knobs"
     ~knobs:
-      [
-        Dsl.Knob.time "period" ~default:1_000_000
-          "feedback controller period";
-        Dsl.Knob.time "target_p99" ~default:100_000
-          "wakeup-to-dispatch p99 the controller steers toward";
-        Dsl.Knob.time "timeslice" ~default:250_000
-          "initial (relaxed) LC timeslice";
-        Dsl.Knob.time "min_slice" ~default:25_000
-          "tightest timeslice the controller may set";
-        Dsl.Knob.int "backlog_hi" ~default:4
-          "LC backlog treated as pressure";
-        Dsl.Knob.string "lc_prefix" ~default:"worker"
-          "task-name prefix classified latency-critical";
-        Dsl.Knob.bool "frozen" ~default:false
-          "disable the controller (static-knob variant)";
-      ]
+      [ period; target_p99; timeslice; min_slice; backlog_hi; lc_prefix; frozen ]
     (fun p ->
-      let period = P.int p "period" ~default:1_000_000 in
-      let target_p99 = P.int p "target_p99" ~default:100_000 in
-      let timeslice = P.int p "timeslice" ~default:250_000 in
-      let min_slice = P.int p "min_slice" ~default:25_000 in
-      let backlog_hi = P.int p "backlog_hi" ~default:4 in
-      let lc_prefix = P.string p "lc_prefix" ~default:"worker" in
-      let frozen = P.bool p "frozen" ~default:false in
+      let period = P.int p period in
+      let target_p99 = P.int p target_p99 in
+      let timeslice = P.int p timeslice in
+      let min_slice = P.int p min_slice in
+      let backlog_hi = P.int p backlog_hi in
+      let lc_prefix = P.string p lc_prefix in
+      let frozen = P.bool p frozen in
       let config =
         {
           Adaptive_policy.period;

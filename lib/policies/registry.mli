@@ -10,14 +10,14 @@ val register :
   name:string ->
   mode:Ghost_policy.mode ->
   doc:string ->
-  ?knobs:Dsl.Knob.spec list ->
+  ?knobs:Ghost_policy.Knob.spec list ->
   (Ghost_policy.Params.t ->
   Ghost.Agent.policy * (unit -> (string * int) list)) ->
   unit
 (** Add a policy.  [knobs] declares its spec-string parameters for
-    discovery ([ghost_bench_cli policies]); the constructor still reads
-    them through {!Ghost_policy.Params}.  Raises [Invalid_argument] on
-    duplicate names. *)
+    discovery ([ghost_bench_cli policies]); the constructor reads each
+    back by its spec through {!Ghost_policy.Params}.  Raises
+    [Invalid_argument] on duplicate names. *)
 
 val names : unit -> string list
 (** Registered names, sorted. *)
@@ -29,7 +29,7 @@ type info = {
   info_name : string;
   info_mode : Ghost_policy.mode;
   info_doc : string;
-  info_knobs : Dsl.Knob.spec list;
+  info_knobs : Ghost_policy.Knob.spec list;
 }
 
 val info : string -> info

@@ -533,6 +533,19 @@ let test_binary_rejects_bad_files () =
       rejects "wrong magic" ("not a ring" ^ String.make 64 '\000');
       rejects "empty" "";
       rejects "truncated body" (String.sub whole 0 (String.length whole - 8));
+      (* The body is the file's last [nwords] words, the header's sixth. *)
+      let first =
+        String.length whole - (8 * Int64.to_int (String.get_int64_le whole 40))
+      in
+      let patched word v =
+        let b = Bytes.of_string whole in
+        Bytes.set_int64_le b (first + (8 * word)) (Int64.of_int v);
+        Bytes.to_string b
+      in
+      let meta = Int64.to_int (String.get_int64_le whole first) in
+      rejects "signature id past the table" (patched 0 (meta lor (0xfff lsl 5)));
+      rejects "name id past the table" (patched 2 1_000_000);
+      rejects "pad record" (patched 0 15);
       check_bool "unopenable" true
         (Result.is_error (Obs.Sink.read_binary ~path:(bad ^ ".missing/x")));
       check_bool "directory" true

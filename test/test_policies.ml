@@ -223,7 +223,7 @@ let test_idle_pass_scan_charge () =
   let e = System.create_enclave sys ~cpus:(Kernel.full_mask k) () in
   let eng, pol =
     Policies.Dsl.Centralized.make ~name:"idle-charge" ~nclasses:2
-      ~donate_idle:true ~evict_lower:true ~timeslice:(us 30) ()
+      ~donate_idle:true ~timeslice:(us 30) ()
   in
   let g = Agent.attach_global sys e ~min_iteration:0 ~idle_gap:0 pol in
   let passes_in_1000 ~cost =
@@ -273,7 +273,7 @@ let donate_passes ~n ~nbatch ?donate_max ?lc_at ~from ~until () =
       let eng, pol =
         Policies.Dsl.Centralized.make ~name:"donate-charge" ~nclasses:2
           ~classify:(fun _ t -> if is_batch t then 1 else 0)
-          ~donate_idle:true ~evict_lower:true ()
+          ~donate_idle:true ()
       in
       Policies.Dsl.Centralized.set_donate_max eng donate_max;
       let _g = Agent.attach_global sys e ~min_iteration:0 ~idle_gap:0 pol in
