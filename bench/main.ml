@@ -20,14 +20,15 @@ let run_entry (e : _ R.t) =
   e.print r;
   r
 
-(* BENCH_engine.json is shared by the engine and colocation targets:
+(* BENCH_engine.json is shared by every target that records numbers:
    read-modify-write so each target owns its top-level keys and running one
-   doesn't clobber the other's numbers.  Every section written is stamped
+   doesn't clobber another's.  Every section written is stamped
    with the mode that produced it ("quick" or "full"), the commit it was
    built from ("-dirty" if any tracked file but the bench JSON differs from
    it, "unknown" outside a git checkout) and the dune profile it was
    compiled in ("release" by default, "dev" under --profile dev), so
-   numbers never mix unmarked. *)
+   numbers never mix unmarked.  No guard reads the file: each compares
+   readings taken in the same run. *)
 let bench_json = "BENCH_engine.json"
 
 let commit =
@@ -55,17 +56,6 @@ let read_bench_json () =
     match Obs.Json.parse str with Ok (Obs.Json.Obj o) -> o | Ok _ | Error _ -> []
   end
   else []
-
-(* The number BENCH_engine.json records under [path], if any. *)
-let recorded path =
-  let rec at v = function
-    | [] -> ( match v with Obs.Json.Num f -> Some f | _ -> None)
-    | k :: rest -> (
-      match v with
-      | Obs.Json.Obj o -> Option.bind (List.assoc_opt k o) (fun v -> at v rest)
-      | _ -> None)
-  in
-  at (Obs.Json.Obj (read_bench_json ())) path
 
 let update_bench_json kvs =
   let stamp =
@@ -274,56 +264,34 @@ end
 module Bench_heap = Engine_bench (Sim.Heapq)
 module Bench_two_tier = Engine_bench (Sim.Eventq)
 
-(* Wall-clock noise on this class of machine runs ±20-30%; a single sample
-   can make a healthy ratio look regressed (or hide a real regression).
-   Each measured row is the best of [reps] runs — best-of, not mean-of,
-   because noise here is mostly one-sided (interference slows a run). *)
-let best_of ~reps f =
-  let best = ref (f ()) in
-  for _ = 2 to reps do
-    let r = f () in
-    if fst r > fst !best then best := r
-  done;
-  !best
+(* The sides of a guarded ratio run interleaved: each of [rounds] rounds
+   runs every side once, each after a full major GC so no run pays for an
+   earlier one's garbage.  A side returns its rate first.  Returns the
+   rounds.  A row whose runs take milliseconds runs more rounds. *)
+let interleaved ~rounds fs =
+  List.init rounds (fun _ ->
+      Array.map
+        (fun f ->
+          Gc.full_major ();
+          f ())
+        fs)
 
-(* The sides of a guarded ratio run interleaved: a round runs every side
-   once, each after a full major GC so no run pays for an earlier one's
-   garbage.  At least five rounds run, and more until one second has
-   passed (at most 100), so a row whose runs take milliseconds gets more
-   of them.  Returns each side's best run and, per side, the median over
-   rounds of its rate over side 0's rate in the same round.  The ratio is
-   not taken between the best runs: on a shared 2-vCPU VM a run is also
-   sometimes faster than usual (serve-shaped's heap side read 7.85M/s in
-   one round and 6.35-6.68M/s in the other eleven), and one such run on
-   one side moved a best-of ratio from about 1.65x to 1.46x. *)
-let interleaved fs =
-  let round () =
-    Array.map
-      (fun f ->
-        Gc.full_major ();
-        f ())
-      fs
-  in
-  let t0 = Unix.gettimeofday () in
-  let rounds = ref [ round () ] and n = ref 1 in
-  while !n < 5 || (Unix.gettimeofday () -. t0 < 1.0 && !n < 100) do
-    rounds := round () :: !rounds;
-    incr n
-  done;
-  let best i =
-    List.fold_left
-      (fun b r -> if fst r.(i) > fst b then r.(i) else b)
-      (List.hd !rounds).(i) !rounds
-  in
-  let median_ratio i =
-    let a =
-      Array.of_list (List.map (fun r -> fst r.(i) /. fst r.(0)) !rounds)
-    in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-  in
-  (Array.init (Array.length fs) best, Array.init (Array.length fs) median_ratio)
+(* Side [i]'s fastest run. *)
+let best rounds i =
+  List.fold_left
+    (fun b r -> if fst r.(i) > fst b then r.(i) else b)
+    (List.hd rounds).(i) rounds
+
+(* The median over rounds of side [i]'s rate over side [j]'s in the same
+   round.  The ratio is not taken between the best runs: on a shared 2-vCPU
+   VM a run is also sometimes faster than usual (serve-shaped's heap side
+   read 7.85M/s in one round and 6.35-6.68M/s in the other eleven), and one
+   such run on one side moved a best-of ratio from about 1.65x to 1.46x. *)
+let median_ratio rounds i j =
+  let a = Array.of_list (List.map (fun r -> fst r.(i) /. fst r.(j)) rounds) in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 (* Regression guards: collected, reported together, and fatal once the
    last target has run, so one failure hides no later reading.  Thresholds
@@ -355,6 +323,31 @@ let check_guards () =
   | fails ->
     List.iter (fun f -> Printf.eprintf "bench guard regressed: %s\n" f) fails;
     exit 1
+
+(* A simulation is deterministic, so side [i] must fire exactly [expect]
+   events (a side's second value) in every round. *)
+let guard_events name rounds i ~expect =
+  let counts =
+    List.sort_uniq compare (List.map (fun r -> int_of_float (snd r.(i))) rounds)
+  in
+  Printf.printf "%s events per run: %s (expected %d)\n" name
+    (String.concat ", " (List.map string_of_int counts))
+    expect;
+  guard (name ^ " event count") (if counts = [ expect ] then 1.0 else 0.0)
+    ~floor:1.0
+
+(* A simulated run as an interleaved side: events per host second, and the
+   events it fired. *)
+let sim_side run () =
+  let fired, wall = run () in
+  (float_of_int fired /. wall, float_of_int fired)
+
+(* The control every guarded simulation rate is divided by, run in the same
+   rounds: the engine's heap-only serve-shaped row, which shares no code
+   with the simulator but [Sim.Heapq].  The VM's speed drifts 1.4x between
+   runs, so a rate recorded once says nothing about today's run; a ratio
+   to a control measured beside it lets the floor sit in code. *)
+let control () = Bench_heap.serve_shaped ~events:300_000
 
 (* --- Observability overhead --------------------------------------------------- *)
 
@@ -401,20 +394,23 @@ let run_obs_overhead ~events =
         Obs.Metrics.reset ())
       (fun () -> obs_roundtrip ~events)
   in
-  interleaved
+  interleaved ~rounds:30
     [|
       (fun () -> obs_roundtrip ~events);
       with_sink (fun () -> Obs.Sink.create ());
       with_sink (fun () -> Obs.Sink.create ~sample:obs_sample_n ());
     |]
 
-(* --- Fault-hook overhead ------------------------------------------------------- *)
+(* --- The ghOSt scenario: host rate and fault-hook overhead ------------------- *)
 
-(* A small ghOSt serving scenario timed with no injector vs an armed empty
-   plan.  An empty plan posts nothing to the event queue, so the two runs
-   execute the same simulation; the ratio bounds what merely having
-   lib/faults wired in costs every ordinary run (it should be noise). *)
-let faults_scenario ~arm ~sim_ns =
+(* A small ghOSt serving scenario: fifo-centralized's global agent drains
+   messages, reads status words and commits transactions for six
+   compute-bound threads on four CPUs, for 100 ms.  It runs with no
+   injector and with an empty plan armed.  An empty plan posts nothing to
+   the event queue, so the two execute the same simulation; their ratio
+   bounds what merely having lib/faults wired in costs every ordinary run
+   (it should be noise). *)
+let ghost_scenario ~arm () =
   let machine =
     {
       Hw.Machines.name = "faults-overhead";
@@ -442,41 +438,13 @@ let faults_scenario ~arm ~sim_ns =
          { Faults.Injector.sys; enclave = e; group = Some g; replace = None }
          Faults.Plan.empty);
   let t0 = Unix.gettimeofday () in
-  Kernel.run_until kernel sim_ns;
+  Kernel.run_until kernel (ms 100);
   let wall = Unix.gettimeofday () -. t0 in
   (Sim.Engine.events_fired (Kernel.engine kernel), wall)
 
-let run_faults_overhead ~sim_ns =
-  let fired_off, wall_off = faults_scenario ~arm:false ~sim_ns in
-  let fired_on, wall_on = faults_scenario ~arm:true ~sim_ns in
-  assert (fired_off = fired_on);
-  (float_of_int fired_off /. wall_off, float_of_int fired_on /. wall_on)
-
-(* --- ABI overhead -------------------------------------------------------------- *)
-
-(* The same serving scenario, used as the agent-API routing benchmark: the
-   policy exercises message drains, status-word reads, and txn commits every
-   pass.  The `abi-baseline` target records the scenario's event count and
-   events/sec into BENCH_engine.json; the guard in the engine target replays
-   the scenario and asserts the exact event count is reproduced (the
-   simulation is deterministic, so any divergence means the agent API
-   changed modeled behavior) and that wall-clock throughput stays within a
-   loose tolerance of the recorded baseline. *)
-let abi_sim_ns = ms 100
-
-let run_abi_baseline () =
-  let fired, wall = faults_scenario ~arm:false ~sim_ns:abi_sim_ns in
-  let rate = float_of_int fired /. wall in
-  Printf.printf "abi baseline (direct): %d events, %.0f events/sec\n" fired rate;
-  update_bench_json
-    [
-      ( "abi_overhead",
-        Obs.Json.Obj
-          [
-            ("direct_events_fired", Obs.Json.Num (float_of_int fired));
-            ("direct_events_per_sec", Obs.Json.Num rate);
-          ] );
-    ]
+(* The events the scenario fires, armed or not: the count the agent ABI's
+   port was pinned to (DESIGN.md §11). *)
+let ghost_scenario_events = 114_988
 
 let run_engine () =
   let events = if !quick then 300_000 else 2_000_000 in
@@ -486,12 +454,14 @@ let run_engine () =
         two-tier wheel+heap)"
        events)
     ;
+  (* Rounds per row: a serve-shaped round takes about 60 ms, so it runs
+     more; cancel-heavy read 2.955 against its 3.0 floor once with five. *)
   let workloads =
     [
-      ("tick-heavy", Bench_heap.tick_heavy, Bench_two_tier.tick_heavy);
-      ("cancel-heavy", Bench_heap.cancel_heavy, Bench_two_tier.cancel_heavy);
-      ("mixed-horizon", Bench_heap.mixed_horizon, Bench_two_tier.mixed_horizon);
-      ("serve-shaped", Bench_heap.serve_shaped, Bench_two_tier.serve_shaped);
+      ("tick-heavy", 5, Bench_heap.tick_heavy, Bench_two_tier.tick_heavy);
+      ("cancel-heavy", 7, Bench_heap.cancel_heavy, Bench_two_tier.cancel_heavy);
+      ("mixed-horizon", 5, Bench_heap.mixed_horizon, Bench_two_tier.mixed_horizon);
+      ("serve-shaped", 15, Bench_heap.serve_shaped, Bench_two_tier.serve_shaped);
     ]
   in
   let fmt_rate r =
@@ -500,11 +470,12 @@ let run_engine () =
   in
   let results =
     List.map
-      (fun (name, heap, two) ->
-        let best, ratio =
-          interleaved [| (fun () -> heap ~events); (fun () -> two ~events) |]
+      (fun (name, rounds, heap, two) ->
+        let r =
+          interleaved ~rounds
+            [| (fun () -> heap ~events); (fun () -> two ~events) |]
         in
-        (name, best.(0), best.(1), ratio.(1)))
+        (name, best r 0, best r 1, median_ratio r 1 0))
       workloads
   in
   Gstats.Table.print
@@ -521,12 +492,12 @@ let run_engine () =
          ])
        results);
   let obs_events = if !quick then 200_000 else 1_000_000 in
-  let obs_best, obs_ratio = run_obs_overhead ~events:obs_events in
-  let obs_disabled, obs_disabled_words = obs_best.(0) in
-  let obs_enabled, obs_enabled_words = obs_best.(1) in
-  let obs_sampled, obs_sampled_words = obs_best.(2) in
-  let enabled_over_disabled = obs_ratio.(1)
-  and sampled_over_disabled = obs_ratio.(2) in
+  let obs = run_obs_overhead ~events:obs_events in
+  let obs_disabled, obs_disabled_words = best obs 0 in
+  let obs_enabled, obs_enabled_words = best obs 1 in
+  let obs_sampled, obs_sampled_words = best obs 2 in
+  let enabled_over_disabled = median_ratio obs 1 0
+  and sampled_over_disabled = median_ratio obs 2 0 in
   Gstats.Table.print
     ~header:
       [ "obs sink (squeue roundtrip)"; "events/sec"; "minor words/ev"; "vs disabled" ]
@@ -546,47 +517,41 @@ let run_engine () =
         Printf.sprintf "%.2fx" sampled_over_disabled;
       ];
     ];
-  let faults_sim_ns = if !quick then ms 100 else ms 400 in
-  let faults_off, faults_on = run_faults_overhead ~sim_ns:faults_sim_ns in
+  let ghost =
+    interleaved ~rounds:7
+      [|
+        control;
+        sim_side (ghost_scenario ~arm:false);
+        sim_side (ghost_scenario ~arm:true);
+      |]
+  in
+  let control_rate, _ = best ghost 0 in
+  let unarmed, _ = best ghost 1 and armed, _ = best ghost 2 in
+  let unarmed_over_control = median_ratio ghost 1 0
+  and armed_over_unarmed = median_ratio ghost 2 1 in
   Gstats.Table.print
-    ~header:[ "fault hooks (ghost scenario)"; "events/sec"; "vs unarmed" ]
+    ~header:[ "ghost scenario (100 ms)"; "events/sec"; "median ratio" ]
     [
-      [ "no injector"; fmt_rate faults_off; "1.00x" ];
+      [ "control (heap serve-shaped)"; fmt_rate control_rate; "" ];
+      [
+        "no injector";
+        fmt_rate unarmed;
+        Printf.sprintf "%.3f of control" unarmed_over_control;
+      ];
       [
         "empty plan armed";
-        fmt_rate faults_on;
-        Printf.sprintf "%.2fx" (faults_on /. faults_off);
+        fmt_rate armed;
+        Printf.sprintf "%.3f of no injector" armed_over_unarmed;
       ];
     ];
-  (* ABI routing guard: replay the recorded scenario and compare. *)
-  let abi_fired, abi_wall = faults_scenario ~arm:false ~sim_ns:abi_sim_ns in
-  let abi_rate = float_of_int abi_fired /. abi_wall in
-  let direct_fired = recorded [ "abi_overhead"; "direct_events_fired" ]
-  and direct_rate = recorded [ "abi_overhead"; "direct_events_per_sec" ] in
-  Option.iter
-    (fun f ->
-      Printf.printf "abi events: direct %d, abi-routed %d\n" (int_of_float f)
-        abi_fired;
-      guard "abi event count match"
-        (if int_of_float f = abi_fired then 1.0 else 0.0)
-        ~floor:1.0)
-    direct_fired;
-  let abi_over_direct =
-    match direct_rate with Some r -> abi_rate /. r | None -> 1.0
-  in
-  Gstats.Table.print
-    ~header:[ "agent API (ghost scenario)"; "events/sec"; "vs direct" ]
-    [
-      [
-        "direct baseline";
-        (match direct_rate with
-        | Some r -> fmt_rate r
-        | None -> "(no baseline recorded)");
-        "1.00x";
-      ];
-      [ "abi-routed"; fmt_rate abi_rate; Printf.sprintf "%.2fx" abi_over_direct ];
-    ];
-  guard "abi routed/direct" abi_over_direct ~floor:0.4;
+  guard_events "ghost scenario unarmed" ghost 1 ~expect:ghost_scenario_events;
+  guard_events "ghost scenario armed" ghost 2 ~expect:ghost_scenario_events;
+  (* Twenty quick runs on a 2-vCPU VM read 0.403-0.566 unarmed over the
+     control and 0.859-1.086 armed over unarmed; each floor sits 10 %
+     under the lowest.  Each trips on a 1.1-1.6x slowdown, where the rate
+     recorded once tripped the old ABI guard on a 1.4-2.3x one. *)
+  guard "ghost scenario/control" unarmed_over_control ~floor:0.36;
+  guard "faults armed/unarmed" armed_over_unarmed ~floor:0.77;
   (* Table 3 rows must keep reproducing the paper within the seed deltas. *)
   let t3 = R.table3.run (scale ()) ~seed in
   let drift (l : Experiments.Table3.line) =
@@ -647,28 +612,16 @@ let run_engine () =
             ("sampled_events_per_sec", Obs.Json.Num obs_sampled);
             ("sampled_over_disabled", Obs.Json.Num sampled_over_disabled);
           ] );
-      ( "faults_overhead",
+      ( "ghost_scenario",
         Obs.Json.Obj
           [
-            ("unarmed_events_per_sec", Obs.Json.Num faults_off);
-            ("armed_empty_events_per_sec", Obs.Json.Num faults_on);
-            ("armed_over_unarmed", Obs.Json.Num (faults_on /. faults_off));
+            ("events_fired", Obs.Json.Num (float_of_int ghost_scenario_events));
+            ("control_events_per_sec", Obs.Json.Num control_rate);
+            ("unarmed_events_per_sec", Obs.Json.Num unarmed);
+            ("armed_empty_events_per_sec", Obs.Json.Num armed);
+            ("unarmed_over_control", Obs.Json.Num unarmed_over_control);
+            ("armed_over_unarmed", Obs.Json.Num armed_over_unarmed);
           ] );
-      ( "abi_overhead",
-        Obs.Json.Obj
-          ((match (direct_fired, direct_rate) with
-           | Some f, Some r ->
-             [
-               ("direct_events_fired", Obs.Json.Num f);
-               ("direct_events_per_sec", Obs.Json.Num r);
-             ]
-           | _ ->
-             [ ("direct_events_fired", Obs.Json.Num (float_of_int abi_fired)) ])
-          @ [
-              ("abi_events_fired", Obs.Json.Num (float_of_int abi_fired));
-              ("abi_events_per_sec", Obs.Json.Num abi_rate);
-              ("abi_over_direct", Obs.Json.Num abi_over_direct);
-            ]) );
     ];
   (* Regression guards over the numbers just written.  ISSUE 6's stated
      targets were 0.5x for full tracing and 4x for mixed-horizon; steady
@@ -721,12 +674,12 @@ let run_engine () =
 
 (* Four checks on the fleet harness: lane throughput as machines are added
    (events/sec through Sim.Lanes at 1, 2 and 8 machines, per-machine load
-   held constant, each row the best of three runs), the host words it
-   takes to build the 8-machine fleet, the identity property (a machine
-   inside a cluster with no fleet traffic reproduces its standalone
-   Scenario.run report exactly), and the capstone delta (fleet controller
-   vs static round-robin on the straggler fleet — the controller must win
-   on fleet p99). *)
+   held constant, each recorded over the control in the same rounds but
+   not guarded), the host words it takes to build the 8-machine fleet, the
+   identity property (a machine inside a cluster with no fleet traffic
+   reproduces its standalone Scenario.run report exactly), and the
+   capstone delta (fleet controller vs static round-robin on the
+   straggler fleet — the controller must win on fleet p99). *)
 let run_cluster () =
   let serve_cpus = List.init 8 (fun c -> c) in
   (* Scaling fleet: rate grows with the fleet so per-machine load is
@@ -755,24 +708,32 @@ let run_cluster () =
       (Printf.sprintf "scale-%d" n)
   in
   let measure_ns = if !quick then ms 20 else ms 50 in
+  let sizes = [ 1; 2; 8 ] in
+  let rounds =
+    interleaved ~rounds:3
+      (Array.of_list
+         (control
+         :: List.map
+              (fun n ->
+                let c =
+                  scale_fleet ~warmup_ns:(ms 5) ~measure_ns ~cooldown_ns:(ms 5) n
+                in
+                sim_side (fun () ->
+                    let t0 = Unix.gettimeofday () in
+                    let r = Cluster.run c in
+                    (r.Cluster.events_fired, Unix.gettimeofday () -. t0)))
+              sizes))
+  in
   let scaling =
-    List.map
-      (fun n ->
-        let c =
-          scale_fleet ~warmup_ns:(ms 5) ~measure_ns ~cooldown_ns:(ms 5) n
-        in
-        let rate, (r, dt) =
-          best_of ~reps:3 (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let r = Cluster.run c in
-              let dt = Unix.gettimeofday () -. t0 in
-              (float_of_int r.Cluster.events_fired /. dt, (r, dt)))
-        in
+    List.mapi
+      (fun i n ->
+        let rate, fired = best rounds (i + 1) in
+        let ratio = median_ratio rounds (i + 1) 0 in
         Printf.printf
-          "cluster scale n=%d: %d events in %.2fs (%.2f Mev/s), served %d\n%!"
-          n r.Cluster.events_fired dt (rate /. 1e6) r.Cluster.fleet_served;
-        (n, rate))
-      [ 1; 2; 8 ]
+          "cluster scale n=%d: %.0f events, best %.2f Mev/s, %.3f of control\n%!"
+          n fired (rate /. 1e6) ratio;
+        (n, rate, ratio))
+      sizes
   in
   (* Host minor words allocated by a zero-window Cluster.run of the
      8-machine fleet: construction and the time-0 setup events.
@@ -837,11 +798,12 @@ let run_cluster () =
             ( "scaling",
               Obs.Json.Arr
                 (List.map
-                   (fun (n, rate) ->
+                   (fun (n, rate, ratio) ->
                      Obs.Json.Obj
                        [
                          ("machines", Obs.Json.Num (float_of_int n));
                          ("events_per_sec", Obs.Json.Num rate);
+                         ("over_control", Obs.Json.Num ratio);
                        ])
                    scaling) );
             ("build_words_8", Obs.Json.Num build_words);
@@ -944,19 +906,14 @@ let run_bpf () =
           ] );
     ]
 
-(* --- DSL port overhead ------------------------------------------------------ *)
-
-(* `dsl-baseline` (extra target, run once before the policy-DSL port)
-   records the events/sec of the two heaviest centralized policies; the
-   `dsl` target replays the same configurations and fails on an event-count
-   divergence or on a ported policy falling under 0.85x of the recorded
-   events/sec.  The reports' byte-identity is pinned in tier 1
-   (test/test_golden_dsl.ml). *)
+(* --- DSL policies: host rate, adaptive, words per pass ------------------------ *)
 
 (* Registry-built serving scenario: worker threads under the spec'd policy,
-   plus batch threads for the two-class engines.  Deterministic, so the
-   event count doubles as an identity check on the non-Scenario path. *)
-let dsl_perf ~spec ~sim_ns =
+   plus batch threads for the two-class engines, for 200 ms.
+   Deterministic, so the event count doubles as an identity check on the
+   non-Scenario path; the reports' byte-identity is pinned in tier 1
+   (test/test_golden_dsl.ml). *)
+let dsl_perf ~spec () =
   let machine =
     {
       Hw.Machines.name = "dsl-perf";
@@ -986,14 +943,19 @@ let dsl_perf ~spec ~sim_ns =
       (Kernel.Task.compute_forever ~slice:(Sim.Units.us 200))
   done;
   let t0 = Unix.gettimeofday () in
-  Kernel.run_until kernel sim_ns;
+  Kernel.run_until kernel (ms 200);
   let wall = Unix.gettimeofday () -. t0 in
   (Sim.Engine.events_fired (Kernel.engine kernel), wall)
 
+(* The two heaviest centralized policies: label, spec, the events each
+   fires (the counts the DSL port was pinned to), and the floor of its
+   rate over the control.  Twenty quick runs on a 2-vCPU VM read
+   0.278-0.412 and 0.269-0.391; each floor sits 10 % under the lowest. *)
 let dsl_perf_specs =
-  [ ("shinjuku", "shinjuku?timeslice=30us"); ("central", "central?timeslice=50us") ]
-
-let dsl_perf_sim_ns = ms 200
+  [
+    ("shinjuku", "shinjuku?timeslice=30us", 383_470, 0.25);
+    ("central", "central?timeslice=50us", 324_750, 0.24);
+  ]
 
 (* Host minor words per agent pass of the repo benchmark's serve-central
    shape, shortened: [policy] with one global agent on a 21-CPU xeon-e5-1s
@@ -1051,60 +1013,26 @@ let central_words_per_pass_ceiling = 165.0
 let search_words_per_pass_list_scan = 4105.2
 let search_words_per_pass_ceiling = 790.0
 
-let run_dsl_baseline () =
-  let perf =
-    List.map
-      (fun (label, spec) ->
-        let fired, wall = dsl_perf ~spec ~sim_ns:dsl_perf_sim_ns in
-        let rate = float_of_int fired /. wall in
-        Printf.printf "dsl baseline %-10s %d events, %.0f events/sec\n" label
-          fired rate;
-        (label, fired, rate))
-      dsl_perf_specs
-  in
-  update_bench_json
-    [
-      ( "dsl_port",
-        Obs.Json.Obj
-          [
-            ( "perf",
-              Obs.Json.Obj
-                (List.map
-                   (fun (label, fired, rate) ->
-                     ( label,
-                       Obs.Json.Obj
-                         [
-                           ("events_fired", Obs.Json.Num (float_of_int fired));
-                           ("events_per_sec", Obs.Json.Num rate);
-                         ] ))
-                   perf) );
-          ] );
-    ]
-
 let run_dsl () =
-  let reps = if !quick then 2 else 3 in
-  let overhead =
-    List.map
-      (fun (label, spec) ->
-        let base_fired = recorded [ "dsl_port"; "perf"; label; "events_fired" ]
-        and base_rate = recorded [ "dsl_port"; "perf"; label; "events_per_sec" ] in
-        let fired, wall =
-          best_of ~reps (fun () ->
-              let fired, wall = dsl_perf ~spec ~sim_ns:dsl_perf_sim_ns in
-              (1.0 /. wall, (fired, wall)))
-          |> snd
-        in
-        let rate = float_of_int fired /. wall in
-        (match base_fired with
-        | Some f when int_of_float f <> fired ->
-          guard_failures :=
-            Printf.sprintf "dsl %s event count diverged (baseline %d, ported %d)"
-              label (int_of_float f) fired
-            :: !guard_failures
-        | _ -> ());
-        let ratio = match base_rate with Some r -> rate /. r | None -> 1.0 in
-        guard (Printf.sprintf "dsl %s events/sec ratio" label) ratio ~floor:0.85;
-        (label, fired, rate, ratio))
+  let rounds =
+    interleaved ~rounds:7
+      (Array.of_list
+         (control
+         :: List.map
+              (fun (_, spec, _, _) -> sim_side (dsl_perf ~spec))
+              dsl_perf_specs))
+  in
+  let control_rate, _ = best rounds 0 in
+  let rates =
+    List.mapi
+      (fun i (label, _, expect, floor) ->
+        let rate, _ = best rounds (i + 1) in
+        let ratio = median_ratio rounds (i + 1) 0 in
+        Printf.printf "dsl %s: best %.0f events/sec, %.3f of control (%.0f)\n"
+          label rate ratio control_rate;
+        guard_events ("dsl " ^ label) rounds (i + 1) ~expect;
+        guard (Printf.sprintf "dsl %s/control" label) ratio ~floor;
+        (label, expect, rate, ratio))
       dsl_perf_specs
   in
   (* The self-tuning controller must beat its frozen-knob variant on the
@@ -1143,41 +1071,42 @@ let run_dsl () =
   in
   update_bench_json
     [
+      ( "dsl_rates",
+        Obs.Json.Obj
+          (("control_events_per_sec", Obs.Json.Num control_rate)
+          :: List.map
+               (fun (label, fired, rate, ratio) ->
+                 ( label,
+                   Obs.Json.Obj
+                     [
+                       ("events_fired", Obs.Json.Num (float_of_int fired));
+                       ("events_per_sec", Obs.Json.Num rate);
+                       ("over_control", Obs.Json.Num ratio);
+                     ] ))
+               rates) );
       ( "dsl_overhead",
         Obs.Json.Obj
-          (List.map
-              (fun (label, fired, rate, ratio) ->
-                ( label,
-                  Obs.Json.Obj
-                    [
-                      ("events_fired", Obs.Json.Num (float_of_int fired));
-                      ("events_per_sec", Obs.Json.Num rate);
-                      ("over_baseline", Obs.Json.Num ratio);
-                    ] ))
-              overhead
-          @ [
-              ( "adaptive",
-                Obs.Json.Obj
-                  [
-                    ("live", side_json alive); ("static", side_json afrozen);
-                  ] );
-              ( "central_pass_words",
-                Obs.Json.Obj
-                  [
-                    ("minor_words_per_pass", Obs.Json.Num pass_words);
-                    ( "closure_abi_minor_words_per_pass",
-                      Obs.Json.Num central_words_per_pass_closure_abi );
-                    ("ceiling", Obs.Json.Num central_words_per_pass_ceiling);
-                  ] );
-              ( "search_pass_words",
-                Obs.Json.Obj
-                  [
-                    ("minor_words_per_pass", Obs.Json.Num search_words);
-                    ( "list_scan_minor_words_per_pass",
-                      Obs.Json.Num search_words_per_pass_list_scan );
-                    ("ceiling", Obs.Json.Num search_words_per_pass_ceiling);
-                  ] );
-            ]) );
+          [
+            ( "adaptive",
+              Obs.Json.Obj
+                [ ("live", side_json alive); ("static", side_json afrozen) ] );
+            ( "central_pass_words",
+              Obs.Json.Obj
+                [
+                  ("minor_words_per_pass", Obs.Json.Num pass_words);
+                  ( "closure_abi_minor_words_per_pass",
+                    Obs.Json.Num central_words_per_pass_closure_abi );
+                  ("ceiling", Obs.Json.Num central_words_per_pass_ceiling);
+                ] );
+            ( "search_pass_words",
+              Obs.Json.Obj
+                [
+                  ("minor_words_per_pass", Obs.Json.Num search_words);
+                  ( "list_scan_minor_words_per_pass",
+                    Obs.Json.Num search_words_per_pass_list_scan );
+                  ("ceiling", Obs.Json.Num search_words_per_pass_ceiling);
+                ] );
+          ] );
     ]
 
 (* Hybrid P/E topology: on bit-identical offered frame traffic (same
@@ -1244,11 +1173,6 @@ let all_targets =
     R.all
   @ [ ("engine", run_engine); ("cluster", run_cluster); ("dsl", run_dsl) ]
 
-(* Not part of `all`: re-recording the direct baseline is an explicit act
-   (it resets what the abi_overhead/dsl guards compare against). *)
-let extra_targets =
-  [ ("abi-baseline", run_abi_baseline); ("dsl-baseline", run_dsl_baseline) ]
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let args =
@@ -1269,18 +1193,18 @@ let () =
   (* Reject a misspelt target before running anything, so a typo in the
      @bench-quick rule fails the gate instead of skipping its guards. *)
   (match
-     List.filter (fun n -> not (List.mem_assoc n (all_targets @ extra_targets))) targets
+     List.filter (fun n -> not (List.mem_assoc n all_targets)) targets
    with
   | [] -> ()
   | unknown ->
     Printf.eprintf "unknown target %s; known: %s\n" (String.concat " " unknown)
-      (String.concat " " (List.map fst (all_targets @ extra_targets)));
+      (String.concat " " (List.map fst all_targets));
     exit 2);
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
       let s = Unix.gettimeofday () in
-      (List.assoc name (all_targets @ extra_targets)) ();
+      (List.assoc name all_targets) ();
       Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. s))
     targets;
   Printf.printf "\nTotal: %.1fs\n" (Unix.gettimeofday () -. t0);
