@@ -30,7 +30,6 @@ let scan_step_cost = 5 (* one probe of a CPU's idle/current state *)
 let abi_version _ = version
 let cpu t = t.cpu
 let now t = Kernel.now t.kern
-let rng t = Kernel.rng t.kern
 let charge t ns = if ns > 0 then t.charged <- t.charged + ns
 let charge_scan t n = charge t (n * scan_step_cost)
 let costs t = Kernel.costs t.kern

@@ -41,7 +41,6 @@ val cpu : t -> int
 (** CPU this agent pass runs on. *)
 
 val now : t -> int
-val rng : t -> Sim.Rng.t
 
 val charge : t -> int -> unit
 (** Account [ns] of policy computation to the agent's busy interval. *)

@@ -88,7 +88,7 @@ let run_side ~seed ~warmup_ns ~measure_ns ~frozen =
     final_slice_us = float_of_int (stat "slice_ns") /. 1e3;
   }
 
-let run ?(seed = 42) ?(warmup_ns = ms 100) ?(measure_ns = ms 300) () =
+let run ~seed ~warmup_ns ~measure_ns =
   let side frozen = run_side ~seed ~warmup_ns ~measure_ns ~frozen in
   let adaptive = side false in
   let static_ = side true in

@@ -20,13 +20,8 @@ type side = {
 
 type result = { adaptive : side; static_ : side }
 
-val run :
-  ?seed:int ->
-  ?warmup_ns:int ->
-  ?measure_ns:int ->
-  unit ->
-  result
-(** Defaults: seed 42, 100 ms warmup, 300 ms measure (low / surge / low in
-    100 ms phases), 60 kq/s low, 200 kq/s surge. *)
+val run : seed:int -> warmup_ns:int -> measure_ns:int -> result
+(** 60 kq/s low, 200 kq/s surge: the surge starts 100 ms into the measure
+    and lasts 100 ms. *)
 
 val print : result -> unit

@@ -28,7 +28,7 @@ type row = {
           deterministic count for a given build, not a simulated cost. *)
 }
 
-val run : ?duration_ns:int -> ?seed:int -> unit -> row list
+val run : duration_ns:int -> seed:int -> row list
 (** [agent-only; fastpath] rows under identical offered traffic. *)
 
 val print : row list -> unit
@@ -47,6 +47,6 @@ type identity = {
 
 val run_identity : unit -> identity
 (** The pre-BPF reference configuration (centralized FIFO, no program
-    installed).  The bench compares the result against baked-in constants
-    captured before the fastpath tier landed: with no program installed the
-    engine must reproduce them exactly. *)
+    installed).  Tier 1 pins its digest: with no program installed the
+    engine reproduces the numbers it gave before the fastpath tier
+    landed. *)

@@ -127,7 +127,7 @@ let run_side ~seed ~warmup_ns ~measure_ns ~dynamic =
     moves = !moves;
   }
 
-let run ?(seed = 42) ?(warmup_ns = ms 100) ?(measure_ns = ms 300) () =
+let run ~seed ~warmup_ns ~measure_ns =
   let side dynamic = run_side ~seed ~warmup_ns ~measure_ns ~dynamic in
   { dynamic = side true; static_ = side false }
 

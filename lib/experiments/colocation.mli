@@ -19,14 +19,9 @@ type side = {
 
 type result = { dynamic : side; static_ : side }
 
-val run :
-  ?seed:int ->
-  ?warmup_ns:int ->
-  ?measure_ns:int ->
-  unit ->
-  result
-(** Defaults: seed 42, 100 ms warmup, 300 ms measure (low / surge / low in
-    100 ms phases), 60 kq/s low, 200 kq/s surge — the surge sits right at
-    the static partition's capacity. *)
+val run : seed:int -> warmup_ns:int -> measure_ns:int -> result
+(** 60 kq/s low, 200 kq/s surge, which sits right at the static
+    partition's capacity: the surge starts 100 ms into the measure and
+    lasts 100 ms. *)
 
 val print : result -> unit

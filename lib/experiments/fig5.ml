@@ -30,9 +30,7 @@ let sweep_points max_n =
   let sparse = upto [] 12 in
   List.sort_uniq compare (List.filter (fun n -> n <= max_n) (dense @ sparse) @ [ max_n ])
 
-let run ?(measure_ns = 50_000_000)
-    ?(machines = [ Hw.Machines.skylake_2s; Hw.Machines.haswell_2s ])
-    ?(seed = 42) () =
+let run ~measure_ns ~seed =
   List.map
     (fun machine ->
       let max_n = Hw.Topology.num_cpus machine.Hw.Machines.topo - 1 in
@@ -42,7 +40,7 @@ let run ?(measure_ns = 50_000_000)
           (sweep_points max_n)
       in
       (machine.Hw.Machines.name, points))
-    machines
+    [ Hw.Machines.skylake_2s; Hw.Machines.haswell_2s ]
 
 let print results =
   Gstats.Table.print_title "Fig. 5: global agent scalability (txns/sec)";

@@ -11,12 +11,7 @@
 
 type point = { cpus : int; txns_per_sec : float }
 
-val run :
-  ?measure_ns:int ->
-  ?machines:Hw.Machines.t list ->
-  ?seed:int ->
-  unit ->
-  (string * point list) list
-(** Defaults: 20 us threads, 50 ms measurement, Skylake + Haswell. *)
+val run : measure_ns:int -> seed:int -> (string * point list) list
+(** One sweep of 20 us threads per machine: Skylake, then Haswell. *)
 
 val print : (string * point list) list -> unit

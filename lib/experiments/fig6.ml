@@ -104,7 +104,7 @@ let run_ghost ~seed ~rate ~with_batch ~warmup_ns ~measure_ns =
     (run_ghost_plan ~seed ~rate ~with_batch ~warmup_ns ~measure_ns
        ~plan:Faults.Plan.empty)
 
-let run_ghost_faulted ?(measure_ns = Sim.Units.ms 800) ?(seed = 42) ~plan () =
+let run_ghost_faulted ~measure_ns ~seed ~plan =
   run_ghost_plan ~seed ~rate:240_000. ~with_batch:false
     ~warmup_ns:(Sim.Units.ms 200) ~measure_ns ~plan
 
@@ -152,9 +152,7 @@ let run_cfs ~seed ~rate ~with_batch ~warmup_ns ~measure_ns =
 
 (* --- Sweep ---------------------------------------------------------------------- *)
 
-let run ?(rates = default_rates) ?(with_batch = false)
-    ?(warmup_ns = Sim.Units.ms 200) ?(measure_ns = Sim.Units.ms 800)
-    ?(seed = 42) () =
+let run ~rates ~with_batch ~warmup_ns ~measure_ns ~seed =
   List.concat_map
     (fun rate ->
       [

@@ -27,20 +27,15 @@ type point = {
 }
 
 val run :
-  ?rates:float list ->
-  ?with_batch:bool ->
-  ?warmup_ns:int ->
-  ?measure_ns:int ->
-  ?seed:int ->
-  unit ->
+  rates:float list ->
+  with_batch:bool ->
+  warmup_ns:int ->
+  measure_ns:int ->
+  seed:int ->
   point list
 
 val run_ghost_faulted :
-  ?measure_ns:int ->
-  ?seed:int ->
-  plan:Faults.Plan.t ->
-  unit ->
-  point * Faults.Report.t
+  measure_ns:int -> seed:int -> plan:Faults.Plan.t -> point * Faults.Report.t
 (** One ghOSt-Shinjuku point with a fault plan armed against its enclave
     (replacement for [Upgrade] events is a fresh Shinjuku agent), at
     240 kq/s — just below saturation, where a disturbance shows — after a

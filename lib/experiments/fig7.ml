@@ -71,8 +71,7 @@ let run_one ~sched ~seed ~loaded ~duration_ns ~warmup_ns =
     extract Workloads.Snapnet.Large (Workloads.Snapnet.rtt_large net);
   ]
 
-let run ?(loaded = false) ?(duration_ns = Sim.Units.sec 3)
-    ?(warmup_ns = Sim.Units.ms 200) ?(seed = 42) () =
+let run ~loaded ~duration_ns ~warmup_ns ~seed =
   run_one ~sched:Microquanta ~seed ~loaded ~duration_ns ~warmup_ns
   @ run_one ~sched:Ghost_snap ~seed ~loaded ~duration_ns ~warmup_ns
 

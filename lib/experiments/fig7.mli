@@ -15,12 +15,6 @@ type row = {
   percentiles : (float * int) list;  (** (pct, latency ns) *)
 }
 
-val run :
-  ?loaded:bool ->
-  ?duration_ns:int ->
-  ?warmup_ns:int ->
-  ?seed:int ->
-  unit ->
-  row list
+val run : loaded:bool -> duration_ns:int -> warmup_ns:int -> seed:int -> row list
 
 val print : title:string -> row list -> unit

@@ -25,8 +25,7 @@ let label_of = function
     else if not c.ccx_aware then "ghost-no-ccx"
     else "ghost"
 
-let run ?(duration_ns = Sim.Units.sec 15) ?(warmup_ns = Sim.Units.sec 2)
-    ?(seed = 42) mode =
+let run ~duration_ns ~warmup_ns ~seed mode =
   let machine = Hw.Machines.rome_2s in
   let kernel, sys = Common.make_system ~seed machine in
   let topo = Kernel.topo kernel in

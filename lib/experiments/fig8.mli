@@ -19,7 +19,7 @@ type result = {
   ccx_moves : int;
 }
 
-val run : ?duration_ns:int -> ?warmup_ns:int -> ?seed:int -> mode -> result
+val run : duration_ns:int -> warmup_ns:int -> seed:int -> mode -> result
 
 val default_modes : unit -> (string * mode) list
 (** cfs, ghost, ghost-no-ccx, ghost-no-numa. *)

@@ -80,7 +80,7 @@ let run_side ~seed ~warmup_ns ~measure_ns ~rate ~service routing =
     rebalances = r.Cluster.rebalances;
   }
 
-let run ?(seed = 42) ?(measure_ns = ms 200) () =
+let run ~seed ~measure_ns =
   let warmup_ns = ms 50 and rate = 120_000.0 in
   let service = Sim.Dist.Exponential 100_000.0 in
   let static_ =

@@ -15,9 +15,8 @@ type side = {
 
 type result = { dynamic : side; static_ : side }
 
-val run : ?seed:int -> ?measure_ns:int -> unit -> result
-(** Defaults: seed 42, 50 ms warmup, 200 ms measure, 120 kq/s offered
-    against ~230 kq/s aggregate capacity — round-robin's quarter share
-    oversubscribes the straggler's ~20 kq/s. *)
+val run : seed:int -> measure_ns:int -> result
+(** 50 ms warmup, 120 kq/s offered against ~230 kq/s aggregate capacity:
+    round-robin's quarter share oversubscribes the straggler's ~20 kq/s. *)
 
 val print : result -> unit

@@ -76,7 +76,7 @@ let run_one ~seed ~spec ~duration_ns =
       Workloads.Recorder.completed (Workloads.Openloop.recorder bat);
   }
 
-let run ?(duration_ns = Sim.Units.ms 1000) ?(seed = 42) () =
+let run ~duration_ns ~seed =
   [
     run_one ~seed ~spec:"fifo-percpu" ~duration_ns;
     run_one ~seed ~spec:"hybrid-edf" ~duration_ns;

@@ -37,7 +37,7 @@ let default_plan = function
    leaves room for the fault, the grace period / watchdog, and CFS.  The
    scenario layer snapshots the jobs' scheduling class the instant the
    enclave dies — the paper's "threads transparently revert" check. *)
-let run ?(seed = 42) ?(scenario = Crash) ?plan () =
+let run ?plan ~seed ~scenario () =
   let plan = match plan with Some p -> p | None -> default_plan scenario in
   let total_jobs = 8 in
   let s =

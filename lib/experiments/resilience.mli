@@ -24,10 +24,10 @@ type result = {
   finished_at : int option;  (** Sim time the last job completed. *)
 }
 
-val run : ?seed:int -> ?scenario:scenario -> ?plan:Faults.Plan.t -> unit -> result
-(** Defaults: seed 42, [Crash], 8 jobs of 20 ms CPU each on a 4-CPU
-    enclave, fault injected 20 ms in, watchdog timeout 10 ms.  [plan]
-    overrides the scenario's default single-fault plan (the harness behind
-    [ghost_bench_cli faults resilience --plan ...]). *)
+val run : ?plan:Faults.Plan.t -> seed:int -> scenario:scenario -> unit -> result
+(** 8 jobs of 20 ms CPU each on a 4-CPU enclave, watchdog timeout 10 ms;
+    the scenario's own plan injects its fault 20 ms in.  [plan] replaces
+    that plan (the harness behind [ghost_bench_cli faults resilience
+    --plan ...]). *)
 
 val print : result -> unit

@@ -220,7 +220,7 @@ let measure_remote ~seed ~batch ~samples =
 
 (* --- Assembly ---------------------------------------------------------------- *)
 
-let run ?(samples = 500) ?(seed = 42) () =
+let run ~samples ~seed =
   let c = Hw.Costs.skylake in
   let local_delivery, n1 = measure_delivery ~seed ~local:true ~samples in
   let global_delivery, n2 = measure_delivery ~seed ~local:false ~samples in

@@ -15,7 +15,8 @@ type line = {
   samples : int;
 }
 
-val run : ?samples:int -> ?seed:int -> unit -> line list
-(** Default 500 samples per line. *)
+val run : samples:int -> seed:int -> line list
+(** [samples] per line; the 10-txn group commits take half as many, at
+    least 50. *)
 
 val print : line list -> unit

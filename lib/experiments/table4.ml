@@ -93,7 +93,7 @@ let run_mode mode ~seed ~work_ns =
     violations = !violations;
   }
 
-let run ?(work_ns = Sim.Units.ms 400) ?(seed = 42) () =
+let run ~work_ns ~seed =
   [
     run_mode Plain_cfs ~seed ~work_ns;
     run_mode Kernel_cs ~seed ~work_ns;

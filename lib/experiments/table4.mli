@@ -16,7 +16,7 @@ type row = {
   violations : int;  (** Cross-VM SMT co-residency samples observed. *)
 }
 
-val run : ?work_ns:int -> ?seed:int -> unit -> row list
-(** [work_ns] is per-vCPU work (default 400 ms). *)
+val run : work_ns:int -> seed:int -> row list
+(** [work_ns] is per-vCPU work. *)
 
 val print : row list -> unit

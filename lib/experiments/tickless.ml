@@ -61,7 +61,7 @@ let run_one mode ~seed ~duration_ns =
     throughput_kqps = Workloads.Recorder.throughput r ~duration:duration_ns /. 1e3;
   }
 
-let run ?(duration_ns = Sim.Units.ms 500) ?(seed = 42) () =
+let run ~duration_ns ~seed =
   List.map
     (fun mode -> run_one mode ~seed ~duration_ns)
     [ Cfs_ticks; Ghost_ticks; Ghost_tickless ]

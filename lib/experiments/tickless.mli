@@ -15,7 +15,7 @@ type row = {
   throughput_kqps : float;
 }
 
-val run : ?duration_ns:int -> ?seed:int -> unit -> row list
+val run : duration_ns:int -> seed:int -> row list
 (** Each host timer tick costs the guest a 5 us VM exit. *)
 
 val print : row list -> unit

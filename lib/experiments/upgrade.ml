@@ -114,15 +114,36 @@ let windows_of samples ~t0 ~window_ns ~nwindows =
 
 let warmup_ns = ms 50
 
-let run ?(seed = 42) ?(measure_ns = ms 300) ?(upgrade_offset = ms 100) ?plan () =
+let run ?plan ~seed ~measure_ns () =
   let window_ns = ms 10 in
-  let upgrade_at = warmup_ns + upgrade_offset in
+  let run_end = warmup_ns + measure_ns in
   let plan =
     match plan with
     | Some p -> p
     | None ->
       Faults.Plan.make ~name:"in-place upgrade"
-        [ { at = upgrade_at; jitter = 0; kind = Upgrade { handoff_gap; abi = None } } ]
+        [
+          {
+            at = warmup_ns + (measure_ns / 3);
+            jitter = 0;
+            kind = Upgrade { handoff_gap; abi = None };
+          };
+        ]
+  in
+  (* The recovery is measured from the plan's first fault, so that fault
+     must fall inside the measured window. *)
+  let upgrade_at =
+    match plan.Faults.Plan.events with
+    | e :: _ when e.Faults.Plan.at >= warmup_ns && e.Faults.Plan.at < run_end ->
+      e.Faults.Plan.at
+    | _ ->
+      invalid_arg
+        (Printf.sprintf
+           "upgrade: plan %S has no first event in the measured window \
+            [%gms, %gms)"
+           (Faults.Plan.to_string plan)
+           (float_of_int warmup_ns /. 1e6)
+           (float_of_int run_end /. 1e6))
   in
   let base_samples, _ =
     run_one ~seed ~warmup_ns ~measure_ns ~plan:Faults.Plan.empty
@@ -135,7 +156,6 @@ let run ?(seed = 42) ?(measure_ns = ms 300) ?(upgrade_offset = ms 100) ?plan () 
   let faulted =
     windows_of fault_samples ~t0:warmup_ns ~window_ns ~nwindows
   in
-  let run_end = warmup_ns + measure_ns in
   let baseline_p99 = p99_of_samples base_samples ~from:warmup_ns ~until:run_end in
   (* Peak windowed p99 at or after the fault. *)
   let spike_p99 =
@@ -199,7 +219,7 @@ type rejected = {
           agent-crash grace period — the §3.4 failure containment story. *)
 }
 
-let run_rejected ?(seed = 42) ?(measure_ns = ms 100) ?(upgrade_offset = ms 50) () =
+let run_rejected ~seed ~measure_ns ~upgrade_offset =
   let rej_abi = Ghost.Abi.version + 1 in
   let upgrade_at = warmup_ns + upgrade_offset in
   let plan =

@@ -9,7 +9,7 @@
 
     The same harness runs {e any} fault plan against the serving stack
     ([?plan]), which is what `ghost_bench_cli faults upgrade --plan ...`
-    uses. *)
+    uses; the windows are read around the plan's first event. *)
 
 type window = {
   w_start : int;  (** Window start, absolute sim ns. *)
@@ -18,7 +18,7 @@ type window = {
 }
 
 type result = {
-  upgrade_at : int;
+  upgrade_at : int;  (** The plan's first event, absolute sim ns. *)
   window_ns : int;
   baseline : window list;  (** Undisturbed run (armed with the empty plan). *)
   faulted : window list;
@@ -36,16 +36,12 @@ type result = {
   recovered : bool;  (** [recovered_ratio <= 1.10]. *)
 }
 
-val run :
-  ?seed:int ->
-  ?measure_ns:int ->
-  ?upgrade_offset:int ->
-  ?plan:Faults.Plan.t ->
-  unit ->
-  result
-(** Defaults: seed 42, 400 kq/s exponential 10 us service on 8 worker CPUs,
-    50 ms warm-up, 300 ms measured, upgrade 100 ms in, 100 us gap, 10 ms
-    windows.  [plan] replaces the default single-upgrade plan. *)
+val run : ?plan:Faults.Plan.t -> seed:int -> measure_ns:int -> unit -> result
+(** 400 kq/s exponential 10 us service on 8 worker CPUs, a 50 ms warm-up,
+    10 ms windows.  The default plan upgrades the agent with a 100 us gap
+    a third of the way into the measure.  Raises [Invalid_argument] before
+    simulating anything if the plan's first event falls outside the
+    measured window, or the plan has none. *)
 
 val print : result -> unit
 
@@ -66,13 +62,8 @@ type rejected = {
           reason [agent-crash]. *)
 }
 
-val run_rejected :
-  ?seed:int ->
-  ?measure_ns:int ->
-  ?upgrade_offset:int ->
-  unit ->
-  rejected
-(** Defaults: seed 42, 400 kq/s, 50 ms warm-up, 100 ms measured, upgrade
-    50 ms in, 100 us gap. *)
+val run_rejected : seed:int -> measure_ns:int -> upgrade_offset:int -> rejected
+(** 400 kq/s, a 50 ms warm-up, the upgrade [upgrade_offset] into the
+    measure with a 100 us gap. *)
 
 val print_rejected : rejected -> unit

@@ -9,7 +9,6 @@ type env = {
   engine : Sim.Engine.t;
   topo : Hw.Topology.t;
   costs : Hw.Costs.t;
-  rng : Sim.Rng.t;
   ncpus : int;
   core_sched : bool;  (** Core scheduling enabled (cookie-aware placement). *)
   curr : int -> Task.t option;  (** Task currently on a CPU. *)

@@ -537,7 +537,6 @@ let class_env_of t : Class_intf.env =
     engine = t.engine;
     topo = topo t;
     costs = costs t;
-    rng = t.rng;
     ncpus = ncpus t;
     core_sched = t.core_sched;
     curr = (fun cpu -> t.cpus.(cpu).curr);

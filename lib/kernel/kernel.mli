@@ -36,6 +36,8 @@ val engine : t -> Sim.Engine.t
 val topo : t -> Hw.Topology.t
 val costs : t -> Hw.Costs.t
 val rng : t -> Sim.Rng.t
+(** The kernel's seeded RNG.  Only fault-plan jitter draws from it. *)
+
 val machine : t -> Hw.Machines.t
 val now : t -> int
 val ncpus : t -> int

@@ -309,14 +309,14 @@ let test_machine_scope_roundtrip () =
 
 (* --- End-to-end: determinism and standalone identity --------------------------- *)
 
-let smoke_cluster () =
+let smoke_cluster ?(policy = "shinjuku") () =
   let machines =
     Array.init 2 (fun i ->
         Scenario.make ~seed:(42 + i) ~warmup_ns:(ms 2) ~measure_ns:(ms 8)
           ~cooldown_ns:(ms 2) ~machine:Hw.Machines.xeon_e5_1s
           ~enclaves:
             [
-              Scenario.enclave ~policy:"shinjuku" ~cpus:[ 0; 1; 2; 3 ]
+              Scenario.enclave ~policy ~cpus:[ 0; 1; 2; 3 ]
                 ~workloads:[] "serve";
             ]
           (Printf.sprintf "det-m%d" i))
@@ -329,11 +329,30 @@ let smoke_cluster () =
     ~routing:Cluster.Balancer.Weighted "det"
 
 let test_cluster_deterministic () =
-  let a = Cluster.to_string (Cluster.run (smoke_cluster ())) in
+  let r = Cluster.run (smoke_cluster ()) in
   let b = Cluster.to_string (Cluster.run (smoke_cluster ())) in
-  Alcotest.(check string) "byte-identical fleet reports" a b;
-  check_bool "served traffic" true
-    ((Cluster.run (smoke_cluster ())).Cluster.fleet_served > 0)
+  Alcotest.(check string) "byte-identical fleet reports" (Cluster.to_string r) b;
+  Array.iter
+    (fun (m : Cluster.machine_report) ->
+      check_bool
+        (Printf.sprintf "machine %d served traffic" m.Cluster.mid)
+        true (m.Cluster.served > 0))
+    r.Cluster.machines
+
+(* The same fleet with the BPF fastpath in every machine's kernel: the
+   in-kernel programs pick threads.  Metrics move only while a sink is
+   installed. *)
+let test_cluster_fastpath_picks () =
+  Obs.Metrics.reset ();
+  Obs.Sink.install (Obs.Sink.create ());
+  let r =
+    Fun.protect ~finally:Obs.Sink.uninstall (fun () ->
+        Cluster.run (smoke_cluster ~policy:"shinjuku?fastpath=true" ()))
+  in
+  let picks = Obs.Metrics.counter_value (Obs.Metrics.counter "bpf.picks") in
+  Obs.Metrics.reset ();
+  check_bool "fleet served traffic" true (r.Cluster.fleet_served > 0);
+  check_bool (Printf.sprintf "bpf.picks > 0 (%d)" picks) true (picks > 0)
 
 let ident_scenario i =
   Scenario.make ~seed:(100 + i) ~warmup_ns:(ms 2) ~measure_ns:(ms 10)
@@ -447,6 +466,8 @@ let () =
             test_cluster_deterministic;
           Alcotest.test_case "matches standalone scenario runs" `Quick
             test_cluster_matches_standalone;
+          Alcotest.test_case "fastpath fleet records BPF picks" `Quick
+            test_cluster_fastpath_picks;
           Alcotest.test_case "spec validation" `Quick
             test_cluster_make_validation;
         ] );

@@ -218,27 +218,6 @@ let test_edf_no_inversion =
       && List.length order = n
       && order = List.sort compare deadlines)
 
-(* --- Hybrid experiment liveness ------------------------------------------------ *)
-
-let test_batch_not_starved () =
-  (* Under the hybrid-aware EDF policy, frame load must not starve the
-     batch class: E-core donation keeps batch progressing while every
-     frame still retires. *)
-  match Experiments.Hybrid.run ~duration_ns:(ms 300) () with
-  | [ blind; aware ] ->
-    check_bool "offered traffic identical" true
-      (blind.Experiments.Hybrid.offered = aware.Experiments.Hybrid.offered
-      && blind.Experiments.Hybrid.offered_work
-         = aware.Experiments.Hybrid.offered_work);
-    check_bool "edf frames complete" true
-      (aware.Experiments.Hybrid.completed > 0);
-    check_bool "edf batch not starved" true
-      (aware.Experiments.Hybrid.batch_completed > 0);
-    check_bool "edf beats class-blind p99" true
-      (aware.Experiments.Hybrid.frame_p99_us
-      < blind.Experiments.Hybrid.frame_p99_us)
-  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
-
 let () =
   Alcotest.run "hybrid"
     [
@@ -261,9 +240,4 @@ let () =
         [ Alcotest.test_case "core_class via ABI" `Quick test_abi_core_class ] );
       ( "edf-model",
         [ QCheck_alcotest.to_alcotest test_edf_no_inversion ] );
-      ( "experiment",
-        [
-          Alcotest.test_case "batch not starved under frames" `Slow
-            test_batch_not_starved;
-        ] );
     ]

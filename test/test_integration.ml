@@ -202,26 +202,6 @@ let test_tick_messages () =
   check_bool (Printf.sprintf "ticks delivered (%d)" !ticks) true
     (!ticks > 80 && !ticks < 120)
 
-(* --- Table 3 regression guard ------------------------------------------------------ *)
-
-let test_table3_regression () =
-  let lines = Experiments.Table3.run ~samples:60 () in
-  List.iter
-    (fun (l : Experiments.Table3.line) ->
-      let tolerance =
-        (* The global-delivery line includes honest polling quantization. *)
-        if l.label = "2. Message delivery to global agent" then 0.45 else 0.10
-      in
-      let err =
-        Float.abs (float_of_int (l.measured_ns - l.paper_ns))
-        /. float_of_int l.paper_ns
-      in
-      check_bool
-        (Printf.sprintf "%s within %.0f%% (measured %d vs %d)" l.label
-           (100.0 *. tolerance) l.measured_ns l.paper_ns)
-        true (err <= tolerance))
-    lines
-
 (* --- Agent API odds and ends ------------------------------------------------------- *)
 
 let test_agent_iterations_counted () =
@@ -256,8 +236,6 @@ let () =
           Alcotest.test_case "install/remove" `Quick test_bpf_install_remove;
         ] );
       ("ticks", [ Alcotest.test_case "delivery" `Quick test_tick_messages ]);
-      ( "table3",
-        [ Alcotest.test_case "regression guard" `Quick test_table3_regression ] );
       ( "agent",
         [ Alcotest.test_case "iterations" `Quick test_agent_iterations_counted ] );
     ]
