@@ -265,10 +265,19 @@ let topo_cmd =
 
 (* --- one subcommand per registered experiment ------------------------------ *)
 
+(* The report, then each predicate of the entry's verdict, as `bench`
+   prints them. *)
 let experiment_cmd (R.E e) =
-  Cmd.v
-    (Cmd.info e.name ~doc:(e.doc ^ ", at full size"))
-    Term.(const (fun seed -> e.print (e.run Full ~seed)) $ seed_arg)
+  let run seed =
+    let r = e.run Full ~seed in
+    e.print r;
+    List.iter
+      (fun c ->
+        Printf.printf "verdict %s: %s  %s\n" e.name (R.show_check c)
+          (if R.holds c then "ok" else "FAIL"))
+      (e.verdict r)
+  in
+  Cmd.v (Cmd.info e.name ~doc:(e.doc ^ ", at full size")) Term.(const run $ seed_arg)
 
 (* --- faults -------------------------------------------------------------- *)
 

@@ -35,9 +35,13 @@ let run t v ~(snap : Snapshot.t) ~(maps : int array array) ~r1 ~r2 =
   let insns = p.Prog.insns in
   let len = Array.length insns in
   let regs = t.regs in
-  Array.fill regs 0 Verifier.nregs 0;
+  (* Plain stores: [Array.fill] is a C call on every program run. *)
+  regs.(0) <- 0;
   regs.(1) <- r1;
   regs.(2) <- r2;
+  for r = 3 to Verifier.nregs - 1 do
+    regs.(r) <- 0
+  done;
   let rec exec pc steps =
     if steps <= 0 || pc < 0 || pc >= len then -1
     else

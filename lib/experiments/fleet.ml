@@ -104,10 +104,6 @@ let print (r : result) =
   in
   line r.static_;
   line r.dynamic;
-  let verdict =
-    if r.dynamic.p99_us < r.static_.p99_us then "PASS" else "FAIL"
-  in
-  Printf.printf
-    "%s: controller fleet p99 %.1fus vs static %.1fus (%.1fx better)\n" verdict
+  Printf.printf "controller fleet p99 %.1fus vs static %.1fus (static/controller %.1fx)\n"
     r.dynamic.p99_us r.static_.p99_us
     (r.static_.p99_us /. Float.max 0.1 r.dynamic.p99_us)

@@ -277,6 +277,8 @@ let upgrade =
     ~verdict:(fun ((r : Upgrade.result), (rej : Upgrade.rejected)) ->
       [
         check "post-recovery p99 ratio" r.recovered_ratio (At_most 1.10);
+        check "replacement attached, enclave alive"
+          (flag (Upgrade.attached r.report)) (At_least 1.0);
         check "mismatched replacement contained" (flag rej.rejected_ok)
           (At_least 1.0);
       ])

@@ -33,8 +33,11 @@ type result = {
           run's whole-run p99. *)
   recovered_ratio : float;
       (** Post-recovery p99 / undisturbed same-interval p99. *)
-  recovered : bool;  (** [recovered_ratio <= 1.10]. *)
+  recovered : bool;  (** [recovered_ratio <= 1.10] and {!attached}. *)
 }
+
+val attached : Faults.Report.t -> bool
+(** A replacement agent attached and the enclave was not destroyed. *)
 
 val run : ?plan:Faults.Plan.t -> seed:int -> measure_ns:int -> unit -> result
 (** 400 kq/s exponential 10 us service on 8 worker CPUs, a 50 ms warm-up,

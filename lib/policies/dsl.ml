@@ -50,7 +50,16 @@ end
    already queued, {!drop} only clears the dedup bit (lazy removal), and
    {!pop} validates the popped tid against the live task table — so a tid
    re-pushed after a drop may briefly appear twice, the duplicate commit
-   fails EBUSY and is requeued, exactly the pre-DSL behavior. *)
+   fails EBUSY and is requeued, exactly the pre-DSL behavior.
+
+   FIFO order keeps its entries in an int ring by absolute position: the
+   entry at position [p] ([head <= p < tail]) sits in slot
+   [p land (Array.length ring - 1)], and the ring doubles when full.  Its
+   first-entry index serves the fastpath's publish walk
+   ({!Centralized.publish}), which visits each queued tid once: [count]
+   holds each tid's number of entries, and [firsts.(0 .. nfirsts - 1)] the
+   position of each queued tid's earliest entry, ascending.  The index is
+   built by the first walk, so queues never walked pay nothing for it. *)
 module Rq = struct
   type dedup = unit Sim.Idtbl.t
 
@@ -60,7 +69,13 @@ module Rq = struct
 
   type t = {
     order : order;
-    fifo : int Queue.t;
+    mutable ring : int array;
+    mutable head : int;
+    mutable tail : int;
+    mutable indexed : bool;
+    mutable count : int array;  (* tid -> entries, once indexed *)
+    mutable firsts : int array;
+    mutable nfirsts : int;
     heap : int Minheap.t;
     queued : dedup;
     validate : Abi.t -> Task.t -> bool;
@@ -69,7 +84,8 @@ module Rq = struct
   let make ?dedup ?validate order =
     {
       order;
-      fifo = Queue.create ();
+      ring = [||]; head = 0; tail = 0;
+      indexed = false; count = [||]; firsts = [||]; nfirsts = 0;
       heap = Minheap.create ();
       queued = (match dedup with Some d -> d | None -> Sim.Idtbl.create ());
       validate =
@@ -84,24 +100,87 @@ module Rq = struct
 
   let length t =
     match t.order with
-    | Fifo -> Queue.length t.fifo
+    | Fifo -> t.tail - t.head
     | Least _ -> Minheap.length t.heap
 
   let is_empty t = length t = 0
+  let tid_at t p = t.ring.(p land (Array.length t.ring - 1))
 
   let iter f t =
     (* Raw tids, dedup and liveness not consulted (fastpath publication
        filters with its own [task_by_tid] check). *)
     match t.order with
-    | Fifo -> Queue.iter f t.fifo
+    | Fifo ->
+      for p = t.head to t.tail - 1 do
+        f (tid_at t p)
+      done
     | Least _ -> Minheap.iter (fun _ tid -> f tid) t.heap
 
   let mem t tid = Sim.Idtbl.mem t.queued tid
 
+  let grown a need =
+    let b = Array.make (max need (max 8 (2 * Array.length a))) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Index a new last entry: its tid's first when it has no other. *)
+  let note t tid p =
+    if tid >= Array.length t.count then t.count <- grown t.count (tid + 1);
+    let n = t.count.(tid) in
+    t.count.(tid) <- n + 1;
+    if n = 0 then begin
+      if t.nfirsts = Array.length t.firsts then t.firsts <- grown t.firsts 0;
+      t.firsts.(t.nfirsts) <- p;
+      t.nfirsts <- t.nfirsts + 1
+    end
+
+  let rec next_of t tid p = if tid_at t p = tid then p else next_of t tid (p + 1)
+
+  (* Move [firsts.(i ..)] below [p] down one slot; the freed index. *)
+  let rec shift_below t p i =
+    if i < t.nfirsts && t.firsts.(i) < p then begin
+      t.firsts.(i - 1) <- t.firsts.(i);
+      shift_below t p (i + 1)
+    end
+    else i - 1
+
+  (* The head entry, at [firsts.(0)], left: its tid's next entry, found by
+     scanning forward, takes its place among the earliest positions. *)
+  let unnote t tid h =
+    let n = t.count.(tid) - 1 in
+    t.count.(tid) <- n;
+    if n = 0 then begin
+      ignore (shift_below t max_int 1);
+      t.nfirsts <- t.nfirsts - 1
+    end
+    else
+      let p = next_of t tid (h + 1) in
+      t.firsts.(shift_below t p 1) <- p
+
+  let index t =
+    if not t.indexed then begin
+      t.indexed <- true;
+      for p = t.head to t.tail - 1 do
+        note t (tid_at t p) p
+      done
+    end
+
+  let add t tid =
+    if t.tail - t.head = Array.length t.ring then begin
+      let ring = Array.make (max 8 (2 * Array.length t.ring)) 0 in
+      for p = t.head to t.tail - 1 do
+        ring.(p land (Array.length ring - 1)) <- tid_at t p
+      done;
+      t.ring <- ring
+    end;
+    t.ring.(t.tail land (Array.length t.ring - 1)) <- tid;
+    if t.indexed then note t tid t.tail;
+    t.tail <- t.tail + 1
+
   (* Raw enqueue: no dedup check (the caller did it, e.g. {!Buckets}). *)
   let enqueue t tid =
     match t.order with
-    | Fifo -> Queue.push tid t.fifo
+    | Fifo -> add t tid
     | Least _ -> invalid_arg "Dsl.Rq.enqueue: keyed order needs push"
 
   let push t ctx tid =
@@ -109,7 +188,7 @@ module Rq = struct
     | Fifo ->
       if not (Sim.Idtbl.mem t.queued tid) then begin
         Sim.Idtbl.replace t.queued tid ();
-        Queue.push tid t.fifo
+        add t tid
       end
     | Least key ->
       if not (Sim.Idtbl.mem t.queued tid) then begin
@@ -123,24 +202,32 @@ module Rq = struct
   let drop t tid = Sim.Idtbl.remove t.queued tid
 
   let rec pop t ctx =
-    let next =
-      match t.order with
-      | Fifo -> (
-        match Queue.pop t.fifo with
-        | exception Queue.Empty -> None
-        | tid -> Some tid)
-      | Least _ -> (
-        match Minheap.pop t.heap with
-        | None -> None
-        | Some (_, tid) -> Some tid)
-    in
-    match next with
-    | None -> None
-    | Some tid -> (
-      Sim.Idtbl.remove t.queued tid;
-      match Abi.task_by_tid ctx tid with
-      | Some task when t.validate ctx task -> Some task
-      | Some _ | None -> pop t ctx)
+    match t.order with
+    | Fifo ->
+      if t.head = t.tail then None
+      else begin
+        let h = t.head in
+        let tid = tid_at t h in
+        t.head <- h + 1;
+        if t.indexed then unnote t tid h;
+        take t ctx tid
+      end
+    | Least _ -> (
+      match Minheap.pop t.heap with
+      | None -> None
+      | Some (_, tid) -> take t ctx tid)
+
+  and take t ctx tid =
+    Sim.Idtbl.remove t.queued tid;
+    match Abi.task_by_tid ctx tid with
+    | Some task when t.validate ctx task -> Some task
+    | Some _ | None -> pop t ctx
+
+  let first_entries t =
+    index t;
+    List.init t.nfirsts (fun i ->
+        let tid = tid_at t t.firsts.(i) in
+        (tid, t.count.(tid)))
 
   (* Raw keyed-entry protocol (the Search policy's revisit loop): pop the
      minimum (key, tid) without touching the dedup bit, requeue with the
@@ -506,16 +593,48 @@ module Centralized = struct
   (* 5. §3.5: class-0 work still waiting goes to the BPF pick ring so a
      CPU idling before our next pass dispatches it without a round-trip.
      The ring mirror is consulted first: both it and the task lookup are
-     free reads, and most of a standing backlog is already published. *)
+     free reads, and most of a standing backlog is already published.
+
+     A FIFO queue is walked once per queued tid, at its earliest entry,
+     with the result of a walk over every entry, which a [Least] queue
+     still takes.  Within a walk no task's runnable state changes: a
+     publish touches only BPF maps and the charge total.  A tid's published bit changes only when
+     the walk publishes that tid: [Fastpath.publish] clears another tid's
+     bit only when it overwrites one of our unreconciled slots, and once
+     the pass's [reconcile] has run, every ring position below head is
+     reconciled and tail - head < cap.  So the per-entry walk acts at a
+     tid's later entries only when the ring refused the tid at its
+     earliest one.  The ring then stays full for the rest of the walk,
+     and each later entry is refused again for one cursor read, which
+     [retry] repeats.  Both walks write the same slots in the same order
+     and charge the same total. *)
+  let rec retry fp ctx tid n =
+    if n > 0 then begin
+      ignore (Fastpath.publish fp ctx tid);
+      retry fp ctx tid (n - 1)
+    end
+
+  (* What the per-entry walk does at all [n] entries of [tid]. *)
+  let publish_tid ctx fp tid n =
+    if not (Fastpath.published fp tid) then
+      match Abi.task_by_tid ctx tid with
+      | Some task when Task.is_runnable task ->
+        if not (Fastpath.publish fp ctx tid) then retry fp ctx tid (n - 1)
+      | Some _ | None -> ()
+
+  let rec publish_firsts ctx fp q i =
+    if i < q.Rq.nfirsts then begin
+      let tid = Rq.tid_at q q.Rq.firsts.(i) in
+      publish_tid ctx fp tid q.Rq.count.(tid);
+      publish_firsts ctx fp q (i + 1)
+    end
+
   let publish ctx fp q0 =
-    Rq.iter
-      (fun tid ->
-        if not (Fastpath.published fp tid) then
-          match Abi.task_by_tid ctx tid with
-          | Some task when Task.is_runnable task ->
-            ignore (Fastpath.publish fp ctx tid)
-          | Some _ | None -> ())
-      q0
+    match q0.Rq.order with
+    | Rq.Fifo ->
+      Rq.index q0;
+      publish_firsts ctx fp q0 0
+    | Rq.Least _ -> Rq.iter (fun tid -> publish_tid ctx fp tid 1) q0
 
   let schedule t ctx msgs =
     feed t ctx msgs;

@@ -100,6 +100,11 @@ module Rq : sig
   (** Next live, validated task — stale and invalid entries are consumed
       and skipped. *)
 
+  val first_entries : t -> (int * int) list
+  (** FIFO order's first-entry index: each queued tid with its number of
+      entries, in the order of its earliest entry.  Builds the index when
+      no publish walk has yet; [[]] on a keyed order. *)
+
   val pop_entry : t -> (int * int) option
   (** Raw keyed-entry protocol (the Search policy's revisit loop): pop the
       minimum [(key, tid)] without touching the dedup bit.  Validation and
@@ -240,6 +245,11 @@ module Centralized : sig
       same for the down-class donation phase (E-core spillover).  Both
       default to the identity, leaving every existing parameterization
       byte-identical.  @raise Invalid_argument when [nclasses < 1]. *)
+
+  val publish : Abi.t -> Fastpath.t -> Rq.t -> unit
+  (** The pass's last phase: publish each runnable tid of the queue that
+      the ring does not hold yet, in queue order, until the ring refuses.
+      Call after the pass's {!Fastpath.reconcile}. *)
 end
 
 (** The per-CPU template: one local agent per enclave CPU, per-CPU bucket

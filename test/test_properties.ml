@@ -543,6 +543,168 @@ let test_dsl_bounded_starvation =
           ncores nlc slice_us b1 b2 b3;
       ok)
 
+(* --- Dsl.Rq's FIFO ring and the publish walk ------------------------------------------ *)
+
+module Rq = Policies.Dsl.Rq
+module Fastpath = Policies.Dsl.Fastpath
+
+(* A pass context over a 2-CPU enclave managing [n] threads, every third
+   of them never started (not runnable), plus one tid with no task. *)
+let rq_world n =
+  let k = Kernel.create (sw_machine 2) in
+  let sys = Ghost.System.install k in
+  let e = Ghost.System.create_enclave sys ~cpus:(Kernel.full_mask k) () in
+  let tids =
+    List.init n (fun i ->
+        let t =
+          Kernel.create_task k ~name:(Printf.sprintf "t%d" i)
+            (Kernel.Task.compute_forever ~slice:(us 10))
+        in
+        Ghost.System.manage e t;
+        if i mod 3 <> 2 then Kernel.start k t;
+        t.Kernel.Task.tid)
+  in
+  let ctx =
+    Ghost.Abi.context sys e ~agents:(Hashtbl.create 1)
+      ~sws:(Sim.Idtbl.create ()) ~cpu_queues:(Sim.Idtbl.create ())
+      ~poked:(Sim.Idtbl.create ()) ~cpu_list:(ref [ 0; 1 ])
+  in
+  Ghost.Abi.begin_pass ctx ~cpu:0;
+  (ctx, Array.of_list (tids @ [ 1000 ]))
+
+let valid ctx tid =
+  match Ghost.Abi.task_by_tid ctx tid with
+  | Some t -> Kernel.Task.is_runnable t
+  | None -> false
+
+type rq_op = Push of int | Enqueue of int | Drop of int | Pop | Index
+
+let rq_op_gen npool =
+  QCheck.Gen.(
+    let tid = frequency [ (3, return 0); (5, int_bound (npool - 1)) ] in
+    frequency
+      [
+        (3, map (fun i -> Push i) tid);
+        (5, map (fun i -> Enqueue i) tid);
+        (1, map (fun i -> Drop i) tid);
+        (2, return Pop);
+        (1, return Index);
+      ])
+
+(* Each tid's entry count, in order of its first entry. *)
+let first_occurrences entries =
+  List.fold_left
+    (fun acc tid ->
+      if List.mem_assoc tid acc then
+        List.map (fun (t, n) -> if t = tid then (t, n + 1) else (t, n)) acc
+      else acc @ [ (tid, 1) ])
+    [] entries
+
+let test_rq_fifo_model =
+  (* Few tids, many duplicates, stale and invalid entries; the ring grows
+     through several doublings with its head well past slot 0.  The index
+     is built at the first [Index] op and maintained from then on. *)
+  let npool = 6 in
+  qtest ~name:"dsl rq fifo ring and first-entry index = list model" ~count:100
+    QCheck.(make Gen.(list_size (int_range 0 400) (rq_op_gen npool)))
+    (fun ops ->
+      let ctx, pool = rq_world (npool - 1) in
+      let q = Rq.fifo () in
+      let entries = ref [] and queued = ref [] in
+      let rec model_pop () =
+        match !entries with
+        | [] -> None
+        | tid :: rest ->
+          entries := rest;
+          queued := List.filter (( <> ) tid) !queued;
+          if valid ctx tid then Some tid else model_pop ()
+      in
+      List.for_all
+        (fun op ->
+          let same_pop =
+            match op with
+            | Push i ->
+              let tid = pool.(i) in
+              Rq.push q ctx tid;
+              if not (List.mem tid !queued) then begin
+                queued := tid :: !queued;
+                entries := !entries @ [ tid ]
+              end;
+              true
+            | Enqueue i ->
+              Rq.enqueue q pool.(i);
+              entries := !entries @ [ pool.(i) ];
+              true
+            | Drop i ->
+              Rq.drop q pool.(i);
+              queued := List.filter (( <> ) pool.(i)) !queued;
+              true
+            | Pop ->
+              Option.map (fun t -> t.Kernel.Task.tid) (Rq.pop q ctx) = model_pop ()
+            | Index -> Rq.first_entries q = first_occurrences !entries
+          in
+          let seen = ref [] in
+          Rq.iter (fun tid -> seen := tid :: !seen) q;
+          same_pop
+          && Rq.length q = List.length !entries
+          && List.rev !seen = !entries
+          && Array.for_all (fun tid -> Rq.mem q tid = List.mem tid !queued) pool)
+        (ops @ [ Index ]))
+
+(* The per-entry publish walk the first-entry walk replaces. *)
+let publish_per_entry ctx fp q =
+  Rq.iter
+    (fun tid ->
+      if (not (Fastpath.published fp tid)) && valid ctx tid then
+        ignore (Fastpath.publish fp ctx tid))
+    q
+
+let test_publish_walk_equivalence =
+  (* Equal states: a queue with one tid repeated many times, some tids
+     published earlier and some of those consumed, on a 4-slot ring that
+     fills.  Both walks must leave the same ring, the same published bits
+     and the same charge. *)
+  let npool = 10 in
+  qtest ~name:"dsl publish walk per tid = per entry" ~count:100
+    QCheck.(
+      make
+        Gen.(
+          triple
+            (list_size (int_range 0 60) (rq_op_gen npool))
+            (list_size (int_range 0 4) (int_bound (npool - 1)))
+            (int_bound 4)))
+    (fun (ops, prepub, consumed) ->
+      let run walk =
+        let ctx, pool = rq_world (npool - 1) in
+        let fp = Fastpath.create ~cap:4 () in
+        ignore (Fastpath.install_pick fp ctx);
+        let q = Rq.fifo () in
+        List.iter
+          (function
+            | Push i | Enqueue i -> Rq.enqueue q pool.(i)
+            | Pop -> ignore (Rq.pop q ctx)
+            | Drop _ -> ()
+            | Index -> ignore (Rq.first_entries q))
+          ops;
+        List.iter (fun i -> ignore (Fastpath.publish fp ctx pool.(i))) prepub;
+        let meta idx =
+          Option.get (Ghost.Abi.bpf_map_get ctx ~map:Bpf.Kit.ring_meta ~idx)
+        in
+        let head = meta Bpf.Kit.meta_head and tail = meta Bpf.Kit.meta_tail in
+        ignore
+          (Ghost.Abi.bpf_map_update ctx ~map:Bpf.Kit.ring_meta
+             ~idx:Bpf.Kit.meta_head (min tail (head + consumed)));
+        Fastpath.reconcile fp ctx;
+        Ghost.Abi.begin_pass ctx ~cpu:0;
+        walk ctx fp q;
+        ( Ghost.Abi.charged ctx,
+          List.init 4 (fun idx ->
+              Ghost.Abi.bpf_map_get ctx ~map:Bpf.Kit.ring_data ~idx),
+          (meta Bpf.Kit.meta_head, meta Bpf.Kit.meta_tail),
+          Array.map (Fastpath.published fp) pool )
+      in
+      run publish_per_entry = run Policies.Dsl.Centralized.publish)
+
 (* --- Task combinators --------------------------------------------------------------- *)
 
 let test_compute_total_sums =
@@ -571,7 +733,8 @@ let () =
         test_topology_partitions; test_topology_sibling_involution;
         test_uniform_class_identity;
         test_dsl_work_conservation; test_dsl_no_lost_threads;
-        test_dsl_bounded_starvation; test_compute_total_sums;
+        test_dsl_bounded_starvation; test_rq_fifo_model;
+        test_publish_walk_equivalence; test_compute_total_sums;
       ]
   in
   Alcotest.run "properties" [ ("model-based", suite) ]
