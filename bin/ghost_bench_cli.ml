@@ -395,9 +395,7 @@ let trace_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:
-            "output file (default $(docv) = EXPERIMENT.trace.json, or \
-             EXPERIMENT.ring with $(b,--binary))")
+          ~doc:"output file (default $(docv) = EXPERIMENT.trace.json)")
   in
   let sample =
     Arg.(
@@ -416,73 +414,48 @@ let trace_cmd =
             "trace ring size in words; when full the ring drops oldest \
              records (surfaced as obs.ring_dropped)")
   in
-  let binary =
-    Arg.(
-      value & flag
-      & info [ "binary" ]
-          ~doc:
-            "write the raw binary ring dump instead of Perfetto JSON; \
-             convert later with $(b,decode) (cheaper to write, and \
-             re-decodable with different tooling)")
-  in
-  let run (R.E e) out seed sample ring_capacity binary =
-    let path =
-      match out with
-      | Some p -> p
-      | None -> e.name ^ if binary then ".ring" else ".trace.json"
-    in
+  let run (R.E e) out seed sample ring_capacity =
+    let path = Option.value out ~default:(e.name ^ ".trace.json") in
     check_writable path;
     Obs.Metrics.reset ();
     let sink = Obs.Sink.create ?capacity:ring_capacity ~sample ~seed () in
     Obs.Sink.install sink;
     Fun.protect ~finally:Obs.Sink.uninstall (fun () ->
         ignore (e.run Short ~seed));
-    (* The knobs that shaped the trace travel with it, so a decoded or
-       re-exported trace still says how it was recorded. *)
-    let knobs =
-      [
-        ("experiment", e.name);
-        ("seed", string_of_int seed);
-        ("sample", string_of_int sample);
-        ("ring_capacity", string_of_int (Obs.Sink.capacity sink));
-        ("ring_recorded", string_of_int (Obs.Sink.recorded sink));
-        ("ring_dropped", string_of_int (Obs.Sink.dropped sink));
-      ]
-    in
-    if binary then begin
-      Obs.Sink.write_binary ~meta:knobs sink ~path;
-      Printf.printf "%s: %d records (%d dropped) over %.3f ms of sim time\n"
-        path (Obs.Sink.length sink) (Obs.Sink.dropped sink)
-        (float_of_int (Obs.Sink.last_time sink) /. 1e6);
-      Printf.printf "decode with: ghost_bench_cli decode %s\n" path
-    end
-    else begin
-      Obs.Perfetto.write_file sink ~path
-        ~meta:(List.map (fun (k, v) -> (k, Obs.Json.Str v)) knobs);
-      Printf.printf "%s: %d events over %.3f ms of sim time\n" path
-        (Obs.Sink.length sink)
-        (float_of_int (Obs.Sink.last_time sink) /. 1e6);
-      Printf.printf "open in https://ui.perfetto.dev (Open trace file)\n\n";
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | Obs.Metrics.Counter n -> Printf.printf "  %-28s %d\n" name n
-          | Obs.Metrics.Gauge n -> Printf.printf "  %-28s %d (gauge)\n" name n
-          | Obs.Metrics.Histogram h ->
-            Printf.printf "  %-28s n=%d p50=%dns p99=%dns max=%dns\n" name
-              h.Obs.Metrics.count h.Obs.Metrics.p50 h.Obs.Metrics.p99
-              h.Obs.Metrics.max)
-        (Obs.Metrics.snapshot ())
-    end
+    (* The knobs that shaped the trace travel with it, so the file still
+       says how it was recorded. *)
+    let num n = Obs.Json.Str (string_of_int n) in
+    Obs.Perfetto.write_file sink ~path
+      ~meta:
+        [
+          ("experiment", Obs.Json.Str e.name);
+          ("seed", num seed);
+          ("sample", num sample);
+          ("ring_capacity", num (Obs.Sink.capacity sink));
+          ("ring_recorded", num (Obs.Sink.recorded sink));
+          ("ring_dropped", num (Obs.Sink.dropped sink));
+        ];
+    Printf.printf "%s: %d events over %.3f ms of sim time\n" path
+      (Obs.Sink.length sink)
+      (float_of_int (Obs.Sink.last_time sink) /. 1e6);
+    Printf.printf "open in https://ui.perfetto.dev (Open trace file)\n\n";
+    List.iter
+      (fun (name, v) ->
+        match v with
+        | Obs.Metrics.Counter n -> Printf.printf "  %-28s %d\n" name n
+        | Obs.Metrics.Gauge n -> Printf.printf "  %-28s %d (gauge)\n" name n
+        | Obs.Metrics.Histogram h ->
+          Printf.printf "  %-28s n=%d p50=%dns p99=%dns max=%dns\n" name
+            h.Obs.Metrics.count h.Obs.Metrics.p50 h.Obs.Metrics.p99
+            h.Obs.Metrics.max)
+      (Obs.Metrics.snapshot ())
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run a registered experiment at its short size with span tracing \
-          enabled and export a Perfetto/Chrome trace_event JSON file (or a \
-          raw binary ring dump with $(b,--binary))")
-    Term.(
-      const run $ exp $ out $ seed_arg $ sample $ ring_capacity $ binary)
+          enabled and export a Perfetto/Chrome trace_event JSON file")
+    Term.(const run $ exp $ out $ seed_arg $ sample $ ring_capacity)
 
 (* --- cluster (fleet-scale simulation) ------------------------------------ *)
 
@@ -607,60 +580,12 @@ let cluster_cmd =
       $ duration_arg ~default:50 ~doc:"measurement window (ms)"
       $ seed_arg)
 
-(* --- decode (binary ring -> Perfetto JSON) -------------------------------- *)
-
-let decode_cmd =
-  let input =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"RING" ~doc:"binary ring dump written by trace --binary")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"output file (default: $(i,RING) with .ring replaced by \
-                .trace.json)")
-  in
-  let run input out =
-    let path =
-      match out with
-      | Some p -> p
-      | None ->
-        (if Filename.check_suffix input ".ring" then
-           Filename.chop_suffix input ".ring"
-         else input)
-        ^ ".trace.json"
-    in
-    check_writable path;
-    let sink, meta =
-      match Obs.Sink.read_binary ~path:input with
-      | Ok r -> r
-      | Error e -> usage_error e
-    in
-    Obs.Perfetto.write_file sink ~path
-      ~meta:(List.map (fun (k, v) -> (k, Obs.Json.Str v)) meta);
-    Printf.printf "%s: %d events over %.3f ms of sim time\n" path
-      (Obs.Sink.length sink)
-      (float_of_int (Obs.Sink.last_time sink) /. 1e6);
-    List.iter (fun (k, v) -> Printf.printf "  %-16s %s\n" k v) meta;
-    Printf.printf "open in https://ui.perfetto.dev (Open trace file)\n"
-  in
-  Cmd.v
-    (Cmd.info "decode"
-       ~doc:
-         "Decode a binary trace ring dump (from trace --binary) into a \
-          Perfetto/Chrome trace_event JSON file")
-    Term.(const run $ input $ out)
-
 let main_cmd =
   let doc = "reproduce the ghOSt paper's evaluation (SOSP '21)" in
   Cmd.group
     (Cmd.info "ghost_bench_cli" ~version:"1.0" ~doc)
     ([ policies_cmd; topo_cmd ]
     @ List.map experiment_cmd R.all
-    @ [ faults_cmd; trace_cmd; cluster_cmd; decode_cmd ])
+    @ [ faults_cmd; trace_cmd; cluster_cmd ])
 
 let () = exit (Cmd.eval main_cmd)

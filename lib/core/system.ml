@@ -268,6 +268,25 @@ let bpf_run e slot ~r1 ~r2 =
     | None -> None
     | Some snap -> Some (Bpf.Vm.run e.bpf_vm v ~snap ~maps:e.bpf_maps ~r1 ~r2))
 
+(* The accounting for each outcome of a BPF program run: the stats
+   counter, the [bpf_pick] switch cost a hit charges to [cpu], and the Obs
+   hook. *)
+let bpf_hit t e ~hook ~cpu ~tid =
+  t.stats.bpf_picks <- t.stats.bpf_picks + 1;
+  Kernel.add_switch_cost t.kernel cpu (Kernel.costs t.kernel).Hw.Costs.bpf_pick;
+  if Obs.Hooks.enabled () then
+    Obs.Hooks.bpf_hit ~now:(Kernel.now t.kernel) ~eid:e.eid ~hook ~cpu ~tid
+
+let bpf_miss t e ~hook ~cpu ~tid =
+  t.stats.bpf_misses <- t.stats.bpf_misses + 1;
+  if Obs.Hooks.enabled () then
+    Obs.Hooks.bpf_miss ~now:(Kernel.now t.kernel) ~eid:e.eid ~hook ~cpu ~tid
+
+let bpf_fallback t e ~hook ~cpu =
+  t.stats.bpf_fallbacks <- t.stats.bpf_fallbacks + 1;
+  if Obs.Hooks.enabled () then
+    Obs.Hooks.bpf_fallback ~now:(Kernel.now t.kernel) ~eid:e.eid ~hook ~cpu
+
 (* Wakeup hook: the program proposes a CPU for the waking thread.  The
    kernel validates the proposal (idle enclave CPU, empty latch slot,
    runnable thread, affinity) and latches directly — exactly the state an
@@ -278,13 +297,7 @@ let bpf_wakeup t e ts =
     match bpf_run e wakeup_slot ~r1:task.Task.tid ~r2:task.Task.cpu with
     | None -> ()
     | Some r ->
-      if r < 0 then begin
-        t.stats.bpf_fallbacks <- t.stats.bpf_fallbacks + 1;
-        if Obs.Hooks.enabled () then
-          Obs.Hooks.bpf_fallback
-            ~now:(Kernel.now t.kernel)
-            ~eid:e.eid ~hook:wakeup_slot ~cpu:task.Task.cpu
-      end
+      if r < 0 then bpf_fallback t e ~hook:wakeup_slot ~cpu:task.Task.cpu
       else if
         r < Kernel.ncpus t.kernel
         && (match t.owner.(r) with Some o -> o == e | None -> false)
@@ -296,22 +309,10 @@ let bpf_wakeup t e ts =
       then begin
         t.latched_slots.(r) <- Some task;
         ts.latched_on <- Some r;
-        t.stats.bpf_picks <- t.stats.bpf_picks + 1;
-        Kernel.add_switch_cost t.kernel r
-          (Kernel.costs t.kernel).Hw.Costs.bpf_pick;
-        if Obs.Hooks.enabled () then
-          Obs.Hooks.bpf_hit
-            ~now:(Kernel.now t.kernel)
-            ~eid:e.eid ~hook:wakeup_slot ~cpu:r ~tid:task.Task.tid;
+        bpf_hit t e ~hook:wakeup_slot ~cpu:r ~tid:task.Task.tid;
         Kernel.resched t.kernel r
       end
-      else begin
-        t.stats.bpf_misses <- t.stats.bpf_misses + 1;
-        if Obs.Hooks.enabled () then
-          Obs.Hooks.bpf_miss
-            ~now:(Kernel.now t.kernel)
-            ~eid:e.eid ~hook:wakeup_slot ~cpu:task.Task.cpu ~tid:task.Task.tid
-      end
+      else bpf_miss t e ~hook:wakeup_slot ~cpu:task.Task.cpu ~tid:task.Task.tid
   end
 
 (* Tick hook: the program decides whether the current thread's slice is up.
@@ -328,22 +329,10 @@ let bpf_tick t ~cpu (task : Task.t) ~since_dispatch =
         | None -> ()
         | Some r ->
           if r = 1 then begin
-            t.stats.bpf_picks <- t.stats.bpf_picks + 1;
-            Kernel.add_switch_cost t.kernel cpu
-              (Kernel.costs t.kernel).Hw.Costs.bpf_pick;
-            if Obs.Hooks.enabled () then
-              Obs.Hooks.bpf_hit
-                ~now:(Kernel.now t.kernel)
-                ~eid:e.eid ~hook:tick_slot ~cpu ~tid:task.Task.tid;
+            bpf_hit t e ~hook:tick_slot ~cpu ~tid:task.Task.tid;
             Kernel.resched t.kernel cpu
           end
-          else begin
-            t.stats.bpf_fallbacks <- t.stats.bpf_fallbacks + 1;
-            if Obs.Hooks.enabled () then
-              Obs.Hooks.bpf_fallback
-                ~now:(Kernel.now t.kernel)
-                ~eid:e.eid ~hook:tick_slot ~cpu
-          end)
+          else bpf_fallback t e ~hook:tick_slot ~cpu)
       | Some _ | None -> ()
     end
 
@@ -424,11 +413,7 @@ let class_pick t ~cpu ~filter =
             | None -> None
             | Some r ->
               if r < 0 then begin
-                t.stats.bpf_fallbacks <- t.stats.bpf_fallbacks + 1;
-                if Obs.Hooks.enabled () then
-                  Obs.Hooks.bpf_fallback
-                    ~now:(Kernel.now t.kernel)
-                    ~eid:e.eid ~hook:pick_slot ~cpu;
+                bpf_fallback t e ~hook:pick_slot ~cpu;
                 None
               end
               else begin
@@ -436,20 +421,10 @@ let class_pick t ~cpu ~filter =
                 | Some ts
                   when ts.enclave == e && bpf_ok t cpu ts.task && filter ts.task
                   ->
-                  t.stats.bpf_picks <- t.stats.bpf_picks + 1;
-                  Kernel.add_switch_cost t.kernel cpu
-                    (Kernel.costs t.kernel).Hw.Costs.bpf_pick;
-                  if Obs.Hooks.enabled () then
-                    Obs.Hooks.bpf_hit
-                      ~now:(Kernel.now t.kernel)
-                      ~eid:e.eid ~hook:pick_slot ~cpu ~tid:r;
+                  bpf_hit t e ~hook:pick_slot ~cpu ~tid:r;
                   take ts.task
                 | Some _ | None ->
-                  t.stats.bpf_misses <- t.stats.bpf_misses + 1;
-                  if Obs.Hooks.enabled () then
-                    Obs.Hooks.bpf_miss
-                      ~now:(Kernel.now t.kernel)
-                      ~eid:e.eid ~hook:pick_slot ~cpu ~tid:r;
+                  bpf_miss t e ~hook:pick_slot ~cpu ~tid:r;
                   try_pick (attempt + 1)
               end
         in

@@ -277,8 +277,8 @@ let print r =
       [ "window (ms)"; "base done"; "base p99 us"; "faulted done";
         "faulted p99 us" ]
     rows;
+  (* The report already carries the degraded requests and the post-recovery
+     p99 ratio. *)
   Faults.Report.print r.report;
-  Printf.printf
-    "spike: p99 %.1fus (baseline %.1fus), width %.1fms, %d degraded requests\n"
-    r.spike_p99_us r.baseline_p99_us r.spike_width_ms r.degraded;
-  Printf.printf "post-recovery p99 ratio: %.3fx\n" r.recovered_ratio
+  Printf.printf "spike: p99 %.1fus (baseline %.1fus), width %.1fms\n"
+    r.spike_p99_us r.baseline_p99_us r.spike_width_ms

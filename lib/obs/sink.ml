@@ -20,8 +20,8 @@
      seed) cuts volume without losing determinism.
 
    Decoding back to the [ev] view — and from there to Perfetto — is done
-   offline by the readers at the bottom ({!iter}, {!events},
-   {!read_binary}); the recording path never builds an [ev]. *)
+   offline by the readers at the bottom ({!iter}, {!events}); the
+   recording path never builds an [ev]. *)
 
 type track = Cpu of int | Enclave of int | Global
 
@@ -208,19 +208,20 @@ let record_size m =
 (* Message consume order is produce order per queue (Squeue pops its FIFO
    head), so the (tid, tseq) -> span id join is a per-queue ring of
    (key, id) pairs: open pushes, take pops the head and compares keys — no
-   hashing on the hot path.  A key mismatch (message skipped somehow) falls
-   back to a linear scan that tombstones the entry, so the table self-heals
-   instead of trusting FIFO order for correctness. *)
+   hashing on the hot path.  Entries exist only for kept spans of messages
+   produced under the installed sink, and a queue's ring starts empty when
+   the queue is created ({!note_queue_owner}), so the head is always the
+   oldest entry still in that queue.  A consumed message whose key is not
+   the head's has no entry: its span was sampled out, or it was produced
+   before the sink was installed. *)
 
 module Qfifo = struct
   type t = {
     mutable buf : int array;  (* 2 words per entry: key, span id *)
     mutable fmask : int;  (* entries - 1 *)
     mutable fhead : int;  (* total pushed *)
-    mutable ftail : int;  (* total popped or tombstoned *)
+    mutable ftail : int;  (* total popped *)
   }
-
-  let dead = min_int
 
   let create () = { buf = Array.make 32 0; fmask = 15; fhead = 0; ftail = 0 }
 
@@ -244,41 +245,18 @@ module Qfifo = struct
     Array.unsafe_set f.buf (i + 1) id;
     f.fhead <- f.fhead + 1
 
-  (* Skip leading tombstones left by out-of-order takes. *)
-  let rec settle f =
-    if
-      f.ftail < f.fhead
-      && Array.unsafe_get f.buf ((f.ftail land f.fmask) * 2) = dead
-    then begin
-      f.ftail <- f.ftail + 1;
-      settle f
-    end
+  let clear f =
+    f.fhead <- 0;
+    f.ftail <- 0
 
-  let scan f ~key =
-    let rec go j =
-      if j >= f.fhead then -1
-      else begin
-        let i = (j land f.fmask) * 2 in
-        if Array.unsafe_get f.buf i = key then begin
-          Array.unsafe_set f.buf i dead;
-          Array.unsafe_get f.buf (i + 1)
-        end
-        else go (j + 1)
-      end
-    in
-    go (f.ftail + 1)
-
+  (* The head's span id when its key is [key], else -1. *)
   let[@inline] take f ~key =
-    settle f;
-    if f.ftail >= f.fhead then -1
-    else begin
-      let i = (f.ftail land f.fmask) * 2 in
-      if Array.unsafe_get f.buf i = key then begin
-        f.ftail <- f.ftail + 1;
-        Array.unsafe_get f.buf (i + 1)
-      end
-      else scan f ~key
+    let i = (f.ftail land f.fmask) * 2 in
+    if f.ftail < f.fhead && Array.unsafe_get f.buf i = key then begin
+      f.ftail <- f.ftail + 1;
+      Array.unsafe_get f.buf (i + 1)
     end
+    else -1
 end
 
 (* --- Tiny int->int2 open-addressing table (transaction joins) ----------------- *)
@@ -381,7 +359,6 @@ type t = {
   mutable tail : int;  (* word offset of the oldest surviving record *)
   mutable written : int;  (* records ever written *)
   mutable drop_count : int;  (* records lost to wrap *)
-  pre_dropped : int;  (* drops recorded before a binary round-trip *)
   mutable next_id : int;
   mutable max_time : int;
   (* span sampling *)
@@ -395,10 +372,6 @@ type t = {
   mutable sched_began : int array;
   txn_open : Itab.t;  (* txn_id -> (span id, began) *)
   mutable pass : int;
-  (* decode-side name/sig tables: [||] = use the process-global tables
-     (live sinks); non-empty for sinks loaded from a binary file. *)
-  local_names : string array;
-  local_sigs : int array array;
 }
 
 let c_ring_dropped = Metrics.counter "obs.ring_dropped"
@@ -409,7 +382,7 @@ let default_capacity = 1 lsl 17
 
 let no_fifo : Qfifo.t array = [||]
 
-let make ~capacity ~sample ~seed ~pre_dropped ~local_names ~local_sigs =
+let create ?(capacity = default_capacity) ?(sample = 1) ?(seed = 42) () =
   if capacity <= 0 then invalid_arg "Obs.Sink.create: capacity must be positive";
   if sample <= 0 then invalid_arg "Obs.Sink.create: sample must be positive";
   let cap_words = pow2 (max capacity 16) 16 in
@@ -421,7 +394,6 @@ let make ~capacity ~sample ~seed ~pre_dropped ~local_names ~local_sigs =
     tail = 0;
     written = 0;
     drop_count = 0;
-    pre_dropped;
     next_id = 1;
     max_time = 0;
     sample_n = sample;
@@ -433,17 +405,12 @@ let make ~capacity ~sample ~seed ~pre_dropped ~local_names ~local_sigs =
     sched_began = Array.make 64 0;
     txn_open = Itab.create ();
     pass = 0;
-    local_names;
-    local_sigs;
   }
-
-let create ?(capacity = default_capacity) ?(sample = 1) ?(seed = 42) () =
-  make ~capacity ~sample ~seed ~pre_dropped:0 ~local_names:[||] ~local_sigs:[||]
 
 let capacity t = t.cap_words
 let sample t = t.sample_n
-let recorded t = t.pre_dropped + t.written
-let dropped t = t.pre_dropped + t.drop_count
+let recorded t = t.written
+let dropped t = t.drop_count
 let length t = t.written - t.drop_count
 let last_time t = t.max_time
 
@@ -480,6 +447,10 @@ let[@inline] scope_qid qid = qid + (!scope lsl 10)
 let[@inline] scope_tid tid = tid + (!scope lsl 12)
 let[@inline] scope_txn txn_id = txn_id lxor (!scope lsl 40)
 
+(* Called when a queue is created.  A later kernel under the same sink (an
+   upgrade's replacement, a second run) numbers its queues from 0 again, so
+   the new queue's message FIFO starts empty: entries an earlier queue with
+   this qid never consumed must not join the new queue's messages. *)
 let note_queue_owner ~qid ~eid =
   let qid = if qid >= 0 then scope_qid qid else qid in
   if qid >= 0 then begin
@@ -489,7 +460,10 @@ let note_queue_owner ~qid ~eid =
       Array.blit !queue_owners 0 grown 0 (Array.length !queue_owners);
       queue_owners := grown
     end;
-    !queue_owners.(qid) <- eid
+    !queue_owners.(qid) <- eid;
+    match !installed with
+    | Some t when qid < Array.length t.msg_fifos -> Qfifo.clear t.msg_fifos.(qid)
+    | _ -> ()
   end
 
 let[@inline] queue_owner_eid ~qid =
@@ -888,22 +862,16 @@ let cur_pass t = t.pass
 
 (* --- Decoding (offline readers) ------------------------------------------------ *)
 
-let name_of t id =
-  if t.local_names == [||] then intern_name id else t.local_names.(id)
-
-let sig_of t id =
-  if t.local_sigs == [||] then !sig_codes.(id) else t.local_sigs.(id)
-
 let decode_args t w m =
-  let codes = sig_of t (meta_sig m) in
+  let codes = !sig_codes.(meta_sig m) in
   let base = w + Array.unsafe_get base_size (m land 15) in
   let rec go i acc =
     if i < 0 then acc
     else begin
       let code = codes.(i) in
       let v = t.ring.(base + i) in
-      let key = name_of t (code asr 1) in
-      let value = if code land 1 = 1 then name_of t v else string_of_int v in
+      let key = intern_name (code asr 1) in
+      let value = if code land 1 = 1 then intern_name v else string_of_int v in
       go (i - 1) ((key, value) :: acc)
     end
   in
@@ -915,9 +883,9 @@ let decode t w m =
   let a = t.ring.(w + 2) in
   let kind =
     if tag = tag_span_begin then
-      Span_begin { id = a; parent = t.ring.(w + 3); name = name_of t t.ring.(w + 4) }
+      Span_begin { id = a; parent = t.ring.(w + 3); name = intern_name t.ring.(w + 4) }
     else if tag = tag_span_end then Span_end { id = a }
-    else if tag = tag_instant then Instant { name = name_of t a }
+    else if tag = tag_instant then Instant { name = intern_name a }
     else
       Sched
         (if tag = tag_dispatch then
@@ -925,7 +893,7 @@ let decode t w m =
              {
                cpu = a;
                tid = t.ring.(w + 3);
-               name = name_of t t.ring.(w + 4);
+               name = intern_name t.ring.(w + 4);
                migrated = m land 16 <> 0;
              }
          else if tag = tag_preempt then Preempt { cpu = a; tid = t.ring.(w + 3) }
@@ -944,198 +912,20 @@ let decode t w m =
   let machine = (meta_track m lsr scope_shift) - 1 in
   { time; track; machine; kind; args = decode_args t w m }
 
-(* Like {!record_size} but resolving the signature against [t]'s snapshot
-   tables when it was read from a binary file — the process-global argsig
-   table of the decoding process need not match the writer's. *)
-let record_size_in t m =
-  if t.local_sigs == [||] then record_size m
-  else
-    Array.unsafe_get base_size (m land 15)
-    + Array.length t.local_sigs.((m lsr 5) land 0xfff)
-
-(* Walk record offsets oldest -> newest. *)
-let iter_offsets t f =
+(* Decode records oldest -> newest. *)
+let iter t f =
   let o = ref t.tail in
   while !o < t.head do
     let w = !o land t.wmask in
     let m = t.ring.(w) in
     if m land 15 = tag_pad then o := !o + meta_track m
     else begin
-      f w m;
-      o := !o + record_size_in t m
+      f (decode t w m);
+      o := !o + record_size m
     end
   done
-
-let iter t f = iter_offsets t (fun w m -> f (decode t w m))
 
 let events t =
   let out = ref [] in
   iter t (fun ev -> out := ev :: !out);
   List.rev !out
-
-(* --- Binary ring files ---------------------------------------------------------- *)
-
-(* Layout (all fixed-width little-endian int64 except strings):
-     magic "ghostrng" | version | sample | cap_words | stored records |
-     total words | dropped | max_time | nmeta | nmeta * (string string) |
-     nnames | nnames * string | nsigs | nsigs * (len + len * code) |
-     total words * word
-   Strings are int64 length + bytes.  Records are written oldest-first with
-   pads squeezed out, so a reader needs no ring arithmetic.  The name and
-   signature table snapshots make the file self-contained: record ids index
-   into them, not into the (live, process-global) tables. *)
-
-let magic = "ghostrng"
-let version = 2
-
-let put_int buf n =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  Buffer.add_bytes buf b
-
-let put_str buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let write_binary ?(meta = []) t ~path =
-  let nrecords = ref 0 in
-  let nwords = ref 0 in
-  iter_offsets t (fun _ m ->
-      incr nrecords;
-      nwords := !nwords + record_size_in t m);
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic;
-  put_int buf version;
-  put_int buf t.sample_n;
-  put_int buf t.cap_words;
-  put_int buf !nrecords;
-  put_int buf !nwords;
-  put_int buf (dropped t);
-  put_int buf t.max_time;
-  put_int buf (List.length meta);
-  List.iter
-    (fun (k, v) ->
-      put_str buf k;
-      put_str buf v)
-    meta;
-  let nnames = interned_count () in
-  put_int buf nnames;
-  for i = 0 to nnames - 1 do
-    put_str buf (intern_name i)
-  done;
-  let nsigs = !sig_count in
-  put_int buf nsigs;
-  for i = 0 to nsigs - 1 do
-    let codes = !sig_codes.(i) in
-    put_int buf (Array.length codes);
-    Array.iter (put_int buf) codes
-  done;
-  iter_offsets t (fun w m ->
-      for i = 0 to record_size_in t m - 1 do
-        put_int buf t.ring.(w + i)
-      done);
-  let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
-  close_out oc
-
-let read_binary ~path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    let exception Bad of string in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        try
-          (* A path that opens but cannot be read (a directory) raises
-             [Sys_error] here or at the first read. *)
-          let len = in_channel_length ic in
-          let left () = len - pos_in ic in
-          let b8 = Bytes.create 8 in
-          let get_int () =
-            if left () < 8 then fail "truncated";
-            really_input ic b8 0 8;
-            Int64.to_int (Bytes.get_int64_le b8 0)
-          in
-          (* A count of items of at least [size] bytes each, checked against
-             the bytes left before anything is allocated for them. *)
-          let get_count size =
-            let n = get_int () in
-            if n < 0 || n > left () / size then fail "truncated (count %d)" n;
-            n
-          in
-          let get_str () = really_input_string ic (get_count 1) in
-          let n = String.length magic in
-          if left () < n || really_input_string ic n <> magic then
-            fail "not a ghost ring file";
-          let v = get_int () in
-          if v <> version then fail "version %d, expected %d" v version;
-          let sample_n = get_int () in
-          let _cap_words = get_int () in
-          let stored = get_int () in
-          let nwords = get_int () in
-          let dropped = get_int () in
-          let max_time = get_int () in
-          let meta =
-            List.init (get_count 16) (fun _ ->
-                let k = get_str () in
-                (k, get_str ()))
-          in
-          let names = Array.init (get_count 8) (fun _ -> get_str ()) in
-          let sigs =
-            Array.init (get_count 8) (fun _ ->
-                Array.init (get_count 8) (fun _ -> get_int ()))
-          in
-          if nwords < 0 || nwords > left () / 8 then
-            fail "truncated (%d words stored)" nwords;
-          let t =
-            make ~capacity:(max 16 nwords) ~sample:(max 1 sample_n) ~seed:42
-              ~pre_dropped:dropped
-              ~local_names:(if names = [||] then [| "" |] else names)
-              ~local_sigs:(if sigs = [||] then [| [||] |] else sigs)
-          in
-          for i = 0 to nwords - 1 do
-            t.ring.(i) <- get_int ()
-          done;
-          (* Decoding trusts what it reads, so check the file once here:
-             signature keys and every record's tag (known, and not a pad:
-             the file holds none), words, signature and names against the
-             stored words and tables. *)
-          let nnames = Array.length names and nsigs = Array.length sigs in
-          Array.iteri
-            (fun s ->
-              Array.iter (fun code ->
-                  if code < 0 || code asr 1 >= nnames then
-                    fail "signature %d: key %d of %d" s (code asr 1) nnames))
-            sigs;
-          let rec walk o n =
-            if o = nwords then n
-            else begin
-              let m = t.ring.(o) in
-              let tag = meta_tag m and s = meta_sig m in
-              if tag > tag_tick then fail "record %d: bad tag %d" n tag;
-              if s >= nsigs then fail "record %d: signature %d of %d" n s nsigs;
-              let base = base_size.(tag) in
-              let size = base + Array.length sigs.(s) in
-              if size > nwords - o then
-                fail "record %d: %d words, %d left" n size (nwords - o);
-              let name w =
-                let id = t.ring.(o + w) in
-                if id < 0 || id >= nnames then
-                  fail "record %d: name %d of %d" n id nnames
-              in
-              if tag = tag_span_begin || tag = tag_dispatch then name 4
-              else if tag = tag_instant then name 2;
-              Array.iteri
-                (fun i code -> if code land 1 = 1 then name (base + i))
-                sigs.(s);
-              walk (o + size) (n + 1)
-            end
-          in
-          let found = walk 0 0 in
-          if found <> stored then
-            fail "%d records stored, %d found" stored found;
-          t.head <- nwords;
-          t.written <- stored;
-          t.max_time <- max_time;
-          Ok (t, meta)
-        with Bad m | Sys_error m -> Error (Printf.sprintf "%s: %s" path m))

@@ -14,10 +14,10 @@
     {!enabled} (a single load and compare) and do nothing when no sink is
     installed.
 
-    The structured {!ev} view still exists, but only on the read side:
-    {!iter}/{!events} decode ring records offline, so {!Perfetto} export,
-    cross-layer joins and tests keep working on the decoded view while the
-    write path stays allocation-free. *)
+    The structured {!ev} view exists only on the read side: {!iter} and
+    {!events} decode the ring's records after a run, and {!Perfetto}
+    exports that view, the one format a trace is written in.  The write
+    path stays allocation-free. *)
 
 (** {1 Decoded event view (read side)} *)
 
@@ -205,17 +205,20 @@ val last_time : t -> int
     Int-keyed structures (no allocation on the hot path) so the layer that
     opens a span and the layer that closes it need not share state.
     Message spans are keyed by [(qid, tid, tseq)] and held in a per-queue
-    FIFO — consume order is produce order per queue, so the take is a
-    head-pop plus key compare, with a self-healing linear scan as the
-    out-of-order fallback.  Wakeup→dispatch chains are keyed by [tid]
-    (dense array), transactions by [txn_id] (open-addressing int table).
-    Absent entries are [-1]; a stored id of 0 means the chain exists but
-    its span was sampled out. *)
+    FIFO — consume order is produce order per queue, so the take pops the
+    head when its key matches and otherwise returns [-1]: that message
+    has no entry, because its span was sampled out or it was produced
+    before the sink was installed.  A queue's FIFO starts empty when the
+    queue is created ({!note_queue_owner}), so a qid that a later kernel
+    reuses under the same sink never joins an earlier queue's entries.
+    Wakeup→dispatch chains are keyed by [tid] (dense array), transactions
+    by [txn_id] (open-addressing int table).  Absent entries are [-1]; a
+    stored id of 0 means the chain exists but its span was sampled out. *)
 
 val open_msg_span : t -> qid:int -> tid:int -> tseq:int -> id:int -> unit
 
 val take_msg_span : t -> qid:int -> tid:int -> tseq:int -> int
-(** The span id, or -1 when none was opened — removes the entry. *)
+(** The span id, removing the entry; -1 when the message has none. *)
 
 val open_sched_span : t -> tid:int -> id:int -> began:int -> unit
 
@@ -242,18 +245,8 @@ val cur_pass : t -> int
     still needs the mapping).  Process-global, reset by {!install}. *)
 
 val note_queue_owner : qid:int -> eid:int -> unit
+(** Called when queue [qid] is created: records its owner and starts its
+    message FIFO empty in the installed sink, if any. *)
+
 val queue_track_code : qid:int -> int
 (** [Enclave eid] when known, [Global] otherwise. *)
-
-(** {1 Binary ring files}
-
-    A self-contained dump of the stored records plus snapshots of the
-    intern and signature tables, for offline decode by
-    [ghost_bench_cli decode]. *)
-
-val write_binary : ?meta:(string * string) list -> t -> path:string -> unit
-
-val read_binary : path:string -> (t * (string * string) list, string) result
-(** Returns a read-only sink (decode via {!iter}/{!events}) and the meta
-    pairs stored by the writer, or an error naming the file when it cannot
-    be opened, is not a ring dump or is truncated. *)

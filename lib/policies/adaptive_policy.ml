@@ -131,8 +131,7 @@ let policy ?(config = default_config) ~is_lc () =
   let engine, pol =
     Dsl.Centralized.make ~name:"adaptive" ~nclasses:2
       ~classify:(fun _ task -> if is_lc task then 0 else 1)
-      ~timeslice:config.timeslice ~donate_idle:true ~msg_charge:25
-      ~assign_charge:40 ()
+      ~timeslice:config.timeslice ~donate_idle:true ()
   in
   let t =
     {

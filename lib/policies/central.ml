@@ -30,5 +30,4 @@ let lc_backlog t = Dsl.Centralized.backlog t
 let policy ~classify ?timeslice ?(schedule_be = true) ?(fastpath = false) () =
   Dsl.Centralized.make ~name:"central-two-class" ~nclasses:2
     ~classify:(fun _ task -> match classify task with Lc -> 0 | Be -> 1)
-    ?timeslice ~donate_idle:schedule_be ~fastpath ~msg_charge:25
-    ~assign_charge:40 ()
+    ?timeslice ~donate_idle:schedule_be ~fastpath ()

@@ -58,8 +58,7 @@ let policy ?(deadline = 16_667_000) ?timeslice ?(fastpath = false) ~is_frame
   in
   Dsl.Centralized.make ~name:"hybrid-edf" ~nclasses:2
     ~classify:(fun _ task -> if is_frame task then 0 else 1)
-    ?timeslice ~donate_idle:true ~fastpath ~msg_charge:25 ~assign_charge:40
-    ~queue_order
+    ?timeslice ~donate_idle:true ~fastpath ~queue_order
     ~cpu_rank:(fun ctx cpus -> by_class ctx cpus)
     ~donate_rank:(fun ctx cpus -> by_class ~reverse:true ctx cpus)
     ()

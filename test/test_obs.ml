@@ -474,83 +474,62 @@ let test_sampling_deterministic () =
   check_int "1-in-4 per name" 50 begins;
   check_int "kept spans are balanced" begins ends
 
-let test_binary_round_trip () =
-  let sink = Obs.Sink.create ~capacity:512 () in
-  (* A mix of record shapes — sched, spans with args, instants — at enough
-     volume that the ring wraps, so the dump path has to cope with a
-     non-zero tail and squeezed pads. *)
-  for i = 1 to 300 do
-    Obs.Sink.sched sink ~time:i
-      (Obs.Sink.Dispatch { cpu = i mod 4; tid = i; name = "t"; migrated = i mod 2 = 0 });
-    let id =
-      Obs.Sink.span_begin sink ~time:i ~name:"work"
-        ~track:(Obs.Sink.Cpu (i mod 4))
-        ~args:[ ("i", string_of_int i) ]
-        ()
-    in
-    Obs.Sink.span_end sink ~time:(i + 1) id;
-    Obs.Sink.instant sink ~time:i ~name:"mark" ~track:Obs.Sink.Global
-      ~args:[ ("tag", "x") ]
-      ()
-  done;
-  check_bool "ring wrapped" true (Obs.Sink.dropped sink > 0);
-  let path = Filename.temp_file "ghost-ring" ".ring" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Obs.Sink.write_binary ~meta:[ ("experiment", "unit"); ("k", "v") ] sink ~path;
-      let rd, meta =
-        match Obs.Sink.read_binary ~path with
-        | Ok r -> r
-        | Error e -> Alcotest.fail e
-      in
-      check_bool "meta preserved" true
-        (meta = [ ("experiment", "unit"); ("k", "v") ]);
-      check_int "dropped preserved" (Obs.Sink.dropped sink) (Obs.Sink.dropped rd);
-      check_int "recorded preserved" (Obs.Sink.recorded sink) (Obs.Sink.recorded rd);
-      check_int "length preserved" (Obs.Sink.length sink) (Obs.Sink.length rd);
-      check_bool "decoded events equal" true
-        (Obs.Sink.events sink = Obs.Sink.events rd))
+(* --- Message joins -------------------------------------------------------------- *)
 
-(* A file that is not a whole ring dump is an error, not an exception. *)
-let test_binary_rejects_bad_files () =
-  let sink = Obs.Sink.create () in
-  for i = 0 to 9 do
-    Obs.Sink.instant sink ~time:i ~name:"mark" ~track:Obs.Sink.Global ()
-  done;
-  let ring = Filename.temp_file "ghost-ring" ".ring" in
-  let bad = Filename.temp_file "ghost-ring" ".bad" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove ring; Sys.remove bad)
-    (fun () ->
-      Obs.Sink.write_binary sink ~path:ring;
-      let whole = In_channel.with_open_bin ring In_channel.input_all in
-      let rejects what contents =
-        Out_channel.with_open_bin bad (fun oc ->
-            Out_channel.output_string oc contents);
-        check_bool what true (Result.is_error (Obs.Sink.read_binary ~path:bad))
-      in
-      rejects "wrong magic" ("not a ring" ^ String.make 64 '\000');
-      rejects "empty" "";
-      rejects "truncated body" (String.sub whole 0 (String.length whole - 8));
-      (* The body is the file's last [nwords] words, the header's sixth. *)
-      let first =
-        String.length whole - (8 * Int64.to_int (String.get_int64_le whole 40))
-      in
-      let patched word v =
-        let b = Bytes.of_string whole in
-        Bytes.set_int64_le b (first + (8 * word)) (Int64.of_int v);
-        Bytes.to_string b
-      in
-      let meta = Int64.to_int (String.get_int64_le whole first) in
-      rejects "signature id past the table" (patched 0 (meta lor (0xfff lsl 5)));
-      rejects "name id past the table" (patched 2 1_000_000);
-      rejects "pad record" (patched 0 15);
-      check_bool "unopenable" true
-        (Result.is_error (Obs.Sink.read_binary ~path:(bad ^ ".missing/x")));
-      check_bool "directory" true
-        (Result.is_error
-           (Obs.Sink.read_binary ~path:(Filename.dirname bad))))
+let wakeup ~tid ~tseq ~at =
+  {
+    Ghost.Msg.kind = Ghost.Msg.THREAD_WAKEUP;
+    tid;
+    tseq;
+    cpu = 0;
+    posted_at = at;
+    visible_at = at;
+  }
+
+(* The ids of the message spans begun, in record order, and of every span
+   ended. *)
+let msg_joins sink =
+  let begun = ref [] and ended = ref [] in
+  Obs.Sink.iter sink (fun ev ->
+      match ev.Obs.Sink.kind with
+      | Obs.Sink.Span_begin { id; name; _ } when String.starts_with ~prefix:"msg:" name ->
+        begun := id :: !begun
+      | Obs.Sink.Span_end { id } -> ended := id :: !ended
+      | _ -> ());
+  (List.rev !begun, List.rev !ended)
+
+(* A later kernel under the same sink numbers its queues from 0 again.  The
+   first queue with qid 3 keeps a message it never consumed; the second
+   one's message with the same (tid, tseq) must end the span its own
+   produce began, not the stale one. *)
+let test_reused_qid () =
+  with_sink (fun sink ->
+      let old_q = Squeue.create ~id:3 ~capacity:8 in
+      Obs.Sink.note_queue_owner ~qid:3 ~eid:0;
+      ignore (Squeue.produce old_q (wakeup ~tid:5 ~tseq:2 ~at:10));
+      let q = Squeue.create ~id:3 ~capacity:8 in
+      Obs.Sink.note_queue_owner ~qid:3 ~eid:1;
+      ignore (Squeue.produce q (wakeup ~tid:5 ~tseq:2 ~at:20));
+      check_bool "consumed" true (Squeue.consume q ~now:30 <> None);
+      match msg_joins sink with
+      | [ _stale; fresh ], ended ->
+        check_bool "the new queue's span ended" true (ended = [ fresh ])
+      | begun, _ -> Alcotest.failf "%d message spans, expected 2" (List.length begun))
+
+(* A message produced before the sink was installed has no span: its
+   consume ends nothing, and the next message still joins. *)
+let test_message_before_install () =
+  Obs.Metrics.reset ();
+  let q = Squeue.create ~id:4 ~capacity:8 in
+  ignore (Squeue.produce q (wakeup ~tid:6 ~tseq:2 ~at:10));
+  with_sink (fun sink ->
+      ignore (Squeue.produce q (wakeup ~tid:6 ~tseq:4 ~at:20));
+      check_bool "first consumed" true (Squeue.consume q ~now:30 <> None);
+      check_bool "no span ended" true (snd (msg_joins sink) = []);
+      check_bool "second consumed" true (Squeue.consume q ~now:40 <> None);
+      match msg_joins sink with
+      | [ id ], ended -> check_bool "its span ended" true (ended = [ id ])
+      | begun, _ -> Alcotest.failf "%d message spans, expected 1" (List.length begun))
 
 let () =
   Alcotest.run "obs"
@@ -580,9 +559,11 @@ let () =
           Alcotest.test_case "intern round-trip" `Quick test_intern_round_trip;
           Alcotest.test_case "sampling deterministic" `Quick
             test_sampling_deterministic;
-          Alcotest.test_case "binary write/read round-trip" `Quick
-            test_binary_round_trip;
-          Alcotest.test_case "binary read rejects bad files" `Quick
-            test_binary_rejects_bad_files;
+        ] );
+      ( "joins",
+        [
+          Alcotest.test_case "reused qid starts empty" `Quick test_reused_qid;
+          Alcotest.test_case "message before install" `Quick
+            test_message_before_install;
         ] );
     ]
