@@ -422,6 +422,12 @@ let trace_cmd =
     Obs.Sink.install sink;
     Fun.protect ~finally:Obs.Sink.uninstall (fun () ->
         ignore (e.run Short ~seed));
+    (* An entry that simulates nothing (table2 counts source lines) leaves
+       the sink empty: say so rather than write a trace of no events. *)
+    if Obs.Sink.recorded sink = 0 then
+      usage_error
+        (Printf.sprintf "trace %s: the run recorded no events; %s not written"
+           e.name path);
     (* The knobs that shaped the trace travel with it, so the file still
        says how it was recorded. *)
     let num n = Obs.Json.Str (string_of_int n) in

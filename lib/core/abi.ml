@@ -13,7 +13,7 @@ type t = {
   sys : System.t;
   enc : System.enclave;
   kern : Kernel.t;
-  agents : (int, Task.t) Hashtbl.t;
+  agents : Task.t Sim.Idtbl.t;
   sws : Status_word.t Sim.Idtbl.t;
   cpu_queues : Squeue.t Sim.Idtbl.t;
   poked : unit Sim.Idtbl.t;
@@ -51,7 +51,7 @@ let recall t ~target =
 (* --- Message queues -------------------------------------------------------- *)
 
 let wake_agent t cpu =
-  match Hashtbl.find_opt t.agents cpu with
+  match Sim.Idtbl.find_opt t.agents cpu with
   | Some agent -> Kernel.wake t.kern agent
   | None -> ()
 

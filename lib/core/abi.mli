@@ -152,7 +152,7 @@ val bpf_map_get : t -> map:int -> idx:int -> int option
 val context :
   System.t ->
   System.enclave ->
-  agents:(int, Kernel.Task.t) Hashtbl.t ->
+  agents:Kernel.Task.t Sim.Idtbl.t ->
   sws:Status_word.t Sim.Idtbl.t ->
   cpu_queues:Squeue.t Sim.Idtbl.t ->
   poked:unit Sim.Idtbl.t ->

@@ -23,9 +23,10 @@ type group = {
   mutable orphans : Squeue.t list;
       (* per-CPU queues of removed CPUs, drained by the watcher agent *)
   agents : (int, Task.t) Hashtbl.t;
-      (* cpu -> agent task.  A Hashtbl, not an Idtbl: its iteration order
-         sets the order in which [stop], [crash] and [set_paused] wake or
-         kill the agents, and report digests depend on that order. *)
+      (* cpu -> agent task, kept only for its iteration order: it sets the
+         order in which [stop], [crash] and [set_paused] wake or kill the
+         agents, and report digests depend on that order *)
+  agent_of : Task.t Sim.Idtbl.t;  (* the same bindings, for lookups *)
   sws : Status_word.t Sim.Idtbl.t;
       (* cpu -> agent status word; always the same keys as [agents] *)
   cpu_queues : Squeue.t Sim.Idtbl.t;  (* local mode *)
@@ -174,7 +175,7 @@ and global_behavior g cpu () =
     match find_handoff_target g ~from:cpu with
     | Some c' ->
       g.gcpu <- c';
-      (match Hashtbl.find_opt g.agents c' with
+      (match Sim.Idtbl.find_opt g.agent_of c' with
       | Some agent -> Kernel.wake g.kern agent
       | None -> ());
       Task.Block { after = global_behavior g cpu }
@@ -218,19 +219,21 @@ let spawn_one g behavior cpu =
   in
   task.Task.is_agent <- true;
   Hashtbl.replace g.agents cpu task;
+  Sim.Idtbl.replace g.agent_of cpu task;
   System.register_agent g.enc task sw
 
 let spawn_agents g behavior =
   List.iter (fun cpu -> spawn_one g behavior cpu) !(g.cpu_list);
-  List.iter (fun cpu -> Kernel.start g.kern (Hashtbl.find g.agents cpu)) !(g.cpu_list)
+  List.iter (fun cpu -> Kernel.start g.kern (Sim.Idtbl.find g.agent_of cpu)) !(g.cpu_list)
 
 (* An agent whose CPU left the enclave: deregister now, die off the event
    loop (the removal may have been triggered from agent context). *)
 let retire_agent g cpu =
-  match Hashtbl.find_opt g.agents cpu with
+  match Sim.Idtbl.find_opt g.agent_of cpu with
   | None -> ()
   | Some task ->
     Hashtbl.remove g.agents cpu;
+    Sim.Idtbl.remove g.agent_of cpu;
     Sim.Idtbl.remove g.sws cpu;
     Sim.Idtbl.remove g.poked cpu;
     System.unregister_agent g.enc task;
@@ -239,7 +242,7 @@ let retire_agent g cpu =
            if task.Task.state <> Task.Dead then Kernel.kill g.kern task))
 
 let wake_agent g cpu =
-  match Hashtbl.find_opt g.agents cpu with
+  match Sim.Idtbl.find_opt g.agent_of cpu with
   | Some a -> Kernel.wake g.kern a
   | None -> ()
 
@@ -248,7 +251,7 @@ let on_resize_global g = function
     if not (List.mem cpu !(g.cpu_list)) then begin
       g.cpu_list := !(g.cpu_list) @ [ cpu ];
       spawn_one g (fun cpu -> global_behavior g cpu) cpu;
-      Kernel.start g.kern (Hashtbl.find g.agents cpu)
+      Kernel.start g.kern (Sim.Idtbl.find g.agent_of cpu)
     end
   | System.Cpu_removed cpu ->
     if List.mem cpu !(g.cpu_list) then begin
@@ -268,7 +271,7 @@ let on_resize_local g = function
     if not (List.mem cpu !(g.cpu_list)) then begin
       g.cpu_list := !(g.cpu_list) @ [ cpu ];
       spawn_one g (fun cpu -> local_behavior g cpu) cpu;
-      Kernel.start g.kern (Hashtbl.find g.agents cpu);
+      Kernel.start g.kern (Sim.Idtbl.find g.agent_of cpu);
       let q = System.create_queue g.enc ~capacity:4096 in
       Sim.Idtbl.replace g.cpu_queues cpu q;
       System.associate_cpu_queue g.enc ~cpu q;
@@ -313,6 +316,7 @@ let make_group sys enc ~mode ~min_iteration ?(idle_gap = 1_000) pol =
   let kern = System.kernel sys in
   let cpu_list = ref (Cpumask.to_list (System.enclave_cpus enc)) in
   let agents = Hashtbl.create 16 in
+  let agent_of = Sim.Idtbl.create () in
   let sws = Sim.Idtbl.create () in
   let cpu_queues = Sim.Idtbl.create () in
   let poked = Sim.Idtbl.create () in
@@ -322,18 +326,19 @@ let make_group sys enc ~mode ~min_iteration ?(idle_gap = 1_000) pol =
     enc;
     kern;
     pol;
-    abi = Abi.context sys enc ~agents ~sws ~cpu_queues ~poked ~cpu_list;
+    abi = Abi.context sys enc ~agents:agent_of ~sws ~cpu_queues ~poked ~cpu_list;
     mode;
     cpu_list;
     orphans = [];
     agents;
+    agent_of;
     sws;
     cpu_queues;
     siblings =
       Array.init (Hw.Topology.num_cpus topo) (fun c ->
           match Hw.Topology.sibling_of topo c with Some s -> s | None -> -1);
     min_iteration;
-    idle_gap = max min_iteration idle_gap;
+    idle_gap = Int.max min_iteration idle_gap;
     gcpu = (match mode with Global -> List.hd !cpu_list | Local -> -1);
     poked;
     iters = 0;
@@ -381,7 +386,7 @@ let attach_local sys enc pol =
   List.iter
     (fun cpu ->
       Sim.Idtbl.replace g.poked cpu ();
-      Kernel.wake g.kern (Hashtbl.find g.agents cpu))
+      Kernel.wake g.kern (Sim.Idtbl.find g.agent_of cpu))
     !(g.cpu_list);
   g
 
@@ -425,4 +430,4 @@ let set_paused g flag =
         g.agents
   end
 
-let set_pass_penalty g ns = g.pass_penalty <- max 0 ns
+let set_pass_penalty g ns = g.pass_penalty <- Int.max 0 ns

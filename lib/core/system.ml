@@ -374,26 +374,27 @@ let bpf_ok t cpu (task : Task.t) =
      | Some ts -> ts.latched_on = None
      | None -> false)
 
+(* Dispatch publishes no message (the agent latched the thread itself), so
+   the stores stay outside a write section.  Top-level, so a pick allocates
+   no closure for it. *)
+let take_picked t ~cpu task =
+  (match tstate_of t task with
+  | Some ts ->
+    Status_word.set_on_cpu ts.sw true;
+    Status_word.set_cpu ts.sw cpu
+  | None -> ());
+  Some task
+
 let class_pick t ~cpu ~filter =
   match enclave_for t cpu with
   | None -> None
   | Some e -> (
-    let take task =
-      (* Dispatch publishes no message (the agent latched the thread
-         itself), so the stores stay outside a write section. *)
-      (match tstate_of t task with
-      | Some ts ->
-        Status_word.set_on_cpu ts.sw true;
-        Status_word.set_cpu ts.sw cpu
-      | None -> ());
-      Some task
-    in
     match t.latched_slots.(cpu) with
     | Some task
       when Task.is_runnable task && Cpumask.mem task.Task.affinity cpu && filter task
       ->
       ignore (unlatch t cpu);
-      take task
+      take_picked t ~cpu task
     | Some task when not (Task.is_runnable task) ->
       ignore (unlatch t cpu);
       None
@@ -422,7 +423,7 @@ let class_pick t ~cpu ~filter =
                   when ts.enclave == e && bpf_ok t cpu ts.task && filter ts.task
                   ->
                   bpf_hit t e ~hook:pick_slot ~cpu ~tid:r;
-                  take ts.task
+                  take_picked t ~cpu ts.task
                 | Some _ | None ->
                   bpf_miss t e ~hook:pick_slot ~cpu ~tid:r;
                   try_pick (attempt + 1)
@@ -748,7 +749,7 @@ let create_enclave t ?watchdog_timeout ?(deliver_ticks = false) ~cpus () =
       ~ncpus:(List.length (Cpumask.to_list cpus));
   (match watchdog_timeout with
   | Some timeout ->
-    let period = max (timeout / 2) 1_000_000 in
+    let period = Int.max (timeout / 2) 1_000_000 in
     let rec check () =
       if e.alive then begin
         watchdog_check t e timeout;

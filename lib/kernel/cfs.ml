@@ -3,8 +3,11 @@ module Topology = Hw.Topology
 module TaskOrd = struct
   type t = Task.t
 
-  let compare a b =
-    compare (a.Task.vruntime, a.Task.tid) (b.Task.vruntime, b.Task.tid)
+  (* The order of polymorphic [compare] on [(vruntime, tid)], NaN and
+     signed zeros included, without the tuples or the C call. *)
+  let compare (a : t) (b : t) =
+    let c = Float.compare a.vruntime b.vruntime in
+    if c <> 0 then c else Int.compare a.tid b.tid
 end
 
 module Tree = Set.Make (TaskOrd)
@@ -14,12 +17,17 @@ type rq = {
   mutable min_vruntime : float;
   mutable weight : int;
   mutable nr : int;  (* cached Tree.cardinal, kept exact by insert/remove *)
+  ccx : int;  (* Topology.ccx_of this runqueue's CPU *)
 }
 
 type t = {
   env : Class_intf.env;
   rqs : rq array;
   ccx_cpus : int list array;  (* Topology.cpus_of_ccx, built once per kernel *)
+  ccx_nr : int array;
+      (* per CCX, the sum of [nr] over its CPUs' runqueues, changed beside
+         every [nr] change: an idle CPU whose CCX holds nothing elsewhere
+         steals without walking the CCX *)
 }
 
 let nice0_weight = 1024
@@ -76,6 +84,7 @@ let insert t cpu (task : Task.t) =
     rq.tree <- tree;
     rq.weight <- rq.weight + task_weight task;
     rq.nr <- rq.nr + 1;
+    t.ccx_nr.(rq.ccx) <- t.ccx_nr.(rq.ccx) + 1;
     t.env.Class_intf.note_queued ~cpu 1
   end
 
@@ -86,6 +95,7 @@ let remove t (task : Task.t) =
       rq.tree <- Tree.remove task rq.tree;
       rq.weight <- rq.weight - task_weight task;
       rq.nr <- rq.nr - 1;
+      t.ccx_nr.(rq.ccx) <- t.ccx_nr.(rq.ccx) - 1;
       t.env.Class_intf.note_queued ~cpu:task.cpu (-1)
     end
   end;
@@ -104,12 +114,14 @@ let enqueue t ~cpu ~is_new (task : Task.t) =
 
 let pick t ~cpu ~filter =
   let rq = t.rqs.(cpu) in
-  let found = Seq.find (fun task -> filter task) (Tree.to_seq rq.tree) in
-  match found with
-  | Some task ->
-    remove t task;
-    Some task
-  | None -> None
+  if rq.nr = 0 then None
+  else begin
+    match Seq.find filter (Tree.to_seq rq.tree) with
+    | Some task as found ->
+      remove t task;
+      found
+    | None -> None
+  end
 
 let put_prev t ~cpu (task : Task.t) = insert t cpu task
 
@@ -122,7 +134,7 @@ let update t ~cpu (task : Task.t) ~ran =
 
 let timeslice t cpu =
   let nr = t.rqs.(cpu).nr + 1 in
-  max (sched_latency / nr) min_granularity
+  Int.max (sched_latency / nr) min_granularity
 
 let tick t ~cpu (task : Task.t) ~since_dispatch =
   ignore task;
@@ -216,30 +228,35 @@ let select_cpu t (task : Task.t) =
    task from a runqueue in the same LLC domain.  Cross-LLC pulls are left to
    the periodic balancer — real CFS's newidle pass rarely crosses the cache
    domain, which is exactly the millisecond-scale reaction the Search
-   experiment measures (§4.4). *)
+   experiment measures (§4.4).  The walk can only find a task on another
+   CPU of the CCX with [nr >= 1], so when the CCX's count is this CPU's
+   own it returns at once, as Linux's newidle_balance skips a root domain
+   that is not overloaded. *)
 let steal t ~cpu ~filter =
-  let topo = t.env.topo in
-  let candidates = t.ccx_cpus.(Topology.ccx_of topo cpu) in
-  let allowed (task : Task.t) = Cpumask.mem task.affinity cpu && filter task in
-  let try_cpu c =
-    if c = cpu then None
-    else begin
-      let rq = t.rqs.(c) in
-      if rq.nr < 1 then None
-      else Seq.find allowed (Tree.to_rev_seq rq.tree)
-    end
-  in
-  let rec go = function
-    | [] -> None
-    | c :: rest -> (
-      match try_cpu c with
-      | Some task ->
-        remove t task;
-        task.cpu <- cpu;
-        Some task
-      | None -> go rest)
-  in
-  go candidates
+  let ccx = t.rqs.(cpu).ccx in
+  if t.ccx_nr.(ccx) - t.rqs.(cpu).nr = 0 then None
+  else begin
+    let allowed (task : Task.t) = Cpumask.mem task.affinity cpu && filter task in
+    let try_cpu c =
+      if c = cpu then None
+      else begin
+        let rq = t.rqs.(c) in
+        if rq.nr < 1 then None
+        else Seq.find allowed (Tree.to_rev_seq rq.tree)
+      end
+    in
+    let rec go = function
+      | [] -> None
+      | c :: rest -> (
+        match try_cpu c with
+        | Some task ->
+          remove t task;
+          task.cpu <- cpu;
+          Some task
+        | None -> go rest)
+    in
+    go t.ccx_cpus.(ccx)
+  end
 
 (* Millisecond-scale periodic load balancing: move one task from the busiest
    to the idlest runqueue when imbalanced.  This coarse cadence is what the
@@ -321,10 +338,17 @@ let create env =
     {
       env;
       rqs =
-        Array.init env.Class_intf.ncpus (fun _ ->
-            { tree = Tree.empty; min_vruntime = 0.0; weight = 0; nr = 0 });
+        Array.init env.Class_intf.ncpus (fun cpu ->
+            {
+              tree = Tree.empty;
+              min_vruntime = 0.0;
+              weight = 0;
+              nr = 0;
+              ccx = Topology.ccx_of env.topo cpu;
+            });
       ccx_cpus =
         Array.init (Topology.num_ccx env.topo) (Topology.cpus_of_ccx env.topo);
+      ccx_nr = Array.make (Topology.num_ccx env.topo) 0;
     }
   in
   let rec tick_balance () =

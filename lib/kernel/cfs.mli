@@ -10,6 +10,10 @@
 
 type t
 
+(** A runqueue's order: vruntime by [Float.compare], then tid.  It is the
+    order of polymorphic [compare] on [(vruntime, tid)]. *)
+module TaskOrd : Set.OrderedType with type t = Task.t
+
 val create : Class_intf.env -> t
 (** Create and start the periodic load balancer. *)
 

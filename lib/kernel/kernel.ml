@@ -97,9 +97,12 @@ let class_of t (task : Task.t) = find_class t task.policy
 (* Anything queued on [cpu]?  The aggregate counter covers every tracking
    class; only non-tracking classes (ghOSt) are asked individually, and each
    answers in O(1). *)
-let any_queued t cpu =
-  t.queued.(cpu) > 0
-  || List.exists (fun (c : Class_intf.cls) -> c.nr_runnable ~cpu > 0) t.scan_classes
+let rec any_scanned_queued cpu = function
+  | [] -> false
+  | (c : Class_intf.cls) :: rest ->
+    c.nr_runnable ~cpu > 0 || any_scanned_queued cpu rest
+
+let any_queued t cpu = t.queued.(cpu) > 0 || any_scanned_queued cpu t.scan_classes
 
 let cpu_idle t cpu = t.cpus.(cpu).curr = None && not (any_queued t cpu)
 
@@ -134,7 +137,7 @@ let lower_class_waiting t cpu =
 let on_tick t fn =
   let n = t.n_tick_listeners in
   if n = Array.length t.tick_listeners then begin
-    let grown = Array.make (max 8 (2 * n)) (fun (_ : int) -> ()) in
+    let grown = Array.make (Int.max 8 (2 * n)) (fun (_ : int) -> ()) in
     Array.blit t.tick_listeners 0 grown 0 n;
     t.tick_listeners <- grown
   end;
@@ -151,19 +154,36 @@ let cookie_compatible (a : Task.t) (b : Task.t) = a.cookie = b.cookie
    unlucky cookie starves behind a compatible-but-unfair pairing. *)
 let core_fairness_margin = 1_200_000.0
 
+(* The pick filter under core scheduling; without it every task passes. *)
 let cookie_filter t cpu (task : Task.t) =
-  if not t.core_sched then true
-  else begin
-    match Hw.Topology.sibling_of (topo t) cpu with
+  match Hw.Topology.sibling_of (topo t) cpu with
+  | None -> true
+  | Some s -> (
+    match t.cpus.(s).curr with
     | None -> true
-    | Some s -> (
-      match t.cpus.(s).curr with
-      | None -> true
-      | Some st ->
-        cookie_compatible st task
-        || (st.policy = Task.Cfs && task.policy = Task.Cfs
-           && task.vruntime +. core_fairness_margin < st.vruntime))
-  end
+    | Some st ->
+      cookie_compatible st task
+      || (st.policy = Task.Cfs && task.policy = Task.Cfs
+         && task.vruntime +. core_fairness_margin < st.vruntime))
+
+(* The classes' picks, then their steals, in priority order.  Top-level, so
+   a pick allocates no closure, and without core scheduling the filter is
+   the static [Class_intf.no_filter]. *)
+let rec pick_from classes ~cpu ~filter =
+  match classes with
+  | [] -> None
+  | (cls : Class_intf.cls) :: rest -> (
+    match cls.pick ~cpu ~filter with
+    | Some _ as x -> x
+    | None -> pick_from rest ~cpu ~filter)
+
+let rec steal_from classes ~cpu ~filter =
+  match classes with
+  | [] -> None
+  | (cls : Class_intf.cls) :: rest -> (
+    match cls.steal ~cpu ~filter with
+    | Some _ as x -> x
+    | None -> steal_from rest ~cpu ~filter)
 
 (* --- Reschedule plumbing -------------------------------------------------- *)
 
@@ -184,14 +204,14 @@ and account t cs (task : Task.t) =
     cs.last_account <- tnow;
     (* Interrupt time (tick_debt) ate into the window: the task made that
        much less progress. *)
-    let stolen = min wall cs.tick_debt in
+    let stolen = Int.min wall cs.tick_debt in
     cs.tick_debt <- cs.tick_debt - stolen;
     let ran = wall - stolen in
     if ran > 0 then begin
       (* sum_exec and class fairness stay in wall time (CPU occupancy);
          only the work ledger scales through the core class's speed. *)
       task.sum_exec <- task.sum_exec + ran;
-      task.remaining <- max 0 (task.remaining - work_of_wall t ~cpu:cs.cid ran);
+      task.remaining <- Int.max 0 (task.remaining - work_of_wall t ~cpu:cs.cid ran);
       (class_of t task).update ~cpu:cs.cid task ~ran
     end
   end
@@ -241,22 +261,13 @@ and schedule t cpu =
 
 and pick_and_dispatch t cs ~prev =
   let cpu = cs.cid in
-  let filter task = cookie_filter t cpu task in
-  let rec pick_from = function
-    | [] -> None
-    | (cls : Class_intf.cls) :: rest -> (
-      match cls.pick ~cpu ~filter with Some x -> Some x | None -> pick_from rest)
+  let filter =
+    if t.core_sched then cookie_filter t cpu else Class_intf.no_filter
   in
   let candidate =
-    match pick_from t.classes with
+    match pick_from t.classes ~cpu ~filter with
     | Some _ as c -> c
-    | None ->
-      let rec steal_from = function
-        | [] -> None
-        | (cls : Class_intf.cls) :: rest -> (
-          match cls.steal ~cpu ~filter with Some x -> Some x | None -> steal_from rest)
-      in
-      steal_from t.classes
+    | None -> steal_from t.classes ~cpu ~filter
   in
   match candidate with
   | None -> go_idle t cs ~prev
@@ -364,7 +375,7 @@ and advance t cs (task : Task.t) =
   match task.cont () with
   | Task.Run { ns; after } ->
     task.cont <- after;
-    task.remaining <- max 1 ns;
+    task.remaining <- Int.max 1 ns;
     cs.seg <-
       Sim.Engine.post_in t.engine
         ~delay:(wall_of_work t ~cpu:cs.cid task.remaining)
@@ -452,7 +463,7 @@ let kill t (task : Task.t) =
     (class_of t task).on_dead ~cpu:task.cpu task
   | Task.Created | Task.Blocked ->
     task.state <- Task.Dead;
-    (class_of t task).on_dead ~cpu:(max task.cpu 0) task);
+    (class_of t task).on_dead ~cpu:(Int.max task.cpu 0) task);
   Sim.Idtbl.remove t.tasks task.tid
 
 let set_affinity t (task : Task.t) mask =
@@ -476,7 +487,7 @@ let set_policy t (task : Task.t) policy =
     (class_of t task).dequeue task;
     task.policy <- policy;
     let cls = class_of t task in
-    cls.attach ~cpu:(max task.cpu 0) task;
+    cls.attach ~cpu:(Int.max task.cpu 0) task;
     match task.state with
     | Task.Runnable -> make_runnable t task ~is_new:true
     | Task.Running -> resched t task.cpu
@@ -492,7 +503,7 @@ let send_ipi t ~target ~wire ~handle fn =
     (Sim.Engine.post_in t.engine ~delay:wire (fun () ->
          fn ();
          let cs = t.cpus.(target) in
-         cs.switch_extra <- max cs.switch_extra handle;
+         cs.switch_extra <- Int.max cs.switch_extra handle;
          resched t target))
 
 (* --- Ticks ---------------------------------------------------------------- *)

@@ -66,17 +66,21 @@ let enqueue t ~cpu ~is_new:_ (task : Task.t) =
     task.cpu <- cpu
   else enqueue_rq t ~cpu task
 
+let rec first_ready ~filter = function
+  | [] -> None
+  | (task : Task.t) :: rest ->
+    if filter task && not task.mq_throttled then Some task
+    else first_ready ~filter rest
+
 let pick t ~cpu ~filter =
-  let rec go = function
-    | [] -> None
-    | (task : Task.t) :: rest ->
-      if filter task && not task.mq_throttled then begin
-        dequeue t task;
-        Some task
-      end
-      else go rest
-  in
-  go t.rqs.(cpu)
+  if t.nr.(cpu) = 0 then None
+  else begin
+    match first_ready ~filter t.rqs.(cpu) with
+    | Some task as found ->
+      dequeue t task;
+      found
+    | None -> None
+  end
 
 (* The budget replenishes at every period boundary (no carryover): a task is
    guaranteed at most [quanta] per period, and throttling lasts only until

@@ -31,23 +31,25 @@ let dequeue t (task : Task.t) =
   task.on_rq <- false
 
 (* First task (FIFO order) of the highest priority present. *)
-let best ~filter q =
-  List.fold_left
-    (fun acc (task : Task.t) ->
-      if not (filter task) then acc
-      else begin
-        match acc with
-        | Some (b : Task.t) when b.rt_prio >= task.rt_prio -> acc
-        | Some _ | None -> Some task
-      end)
-    None q
+let rec best ~filter acc = function
+  | [] -> acc
+  | (task : Task.t) :: rest ->
+    if not (filter task) then best ~filter acc rest
+    else begin
+      match acc with
+      | Some (b : Task.t) when b.rt_prio >= task.rt_prio -> best ~filter acc rest
+      | Some _ | None -> best ~filter (Some task) rest
+    end
 
 let pick t ~cpu ~filter =
-  match best ~filter t.rqs.(cpu) with
-  | Some task ->
-    dequeue t task;
-    Some task
-  | None -> None
+  if t.nr.(cpu) = 0 then None
+  else begin
+    match best ~filter None t.rqs.(cpu) with
+    | Some task as found ->
+      dequeue t task;
+      found
+    | None -> None
+  end
 
 let select_cpu (task : Task.t) =
   let prev = if task.cpu >= 0 then task.cpu else 0 in

@@ -82,7 +82,7 @@ let compute_total ~slice ~total after () =
   let rec step left () =
     if left <= 0 then after ()
     else begin
-      let ns = min slice left in
+      let ns = Int.min slice left in
       Run { ns; after = step (left - ns) }
     end
   in

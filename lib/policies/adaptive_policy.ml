@@ -103,7 +103,7 @@ let control t ctx =
       Abi.charge ctx 50;
       let p99, backlog = read_signals () in
       if p99 > t.config.target_p99 || backlog >= t.config.backlog_hi then begin
-        let next = max t.config.min_slice (t.slice / 2) in
+        let next = Int.max t.config.min_slice (t.slice / 2) in
         if next <> t.slice then begin
           t.slice <- next;
           Dsl.Centralized.set_timeslice t.engine ctx (Some next)
@@ -114,7 +114,7 @@ let control t ctx =
         end
       end
       else if p99 * 2 < t.config.target_p99 && backlog = 0 then begin
-        let next = min t.config.timeslice (t.slice * 2) in
+        let next = Int.min t.config.timeslice (t.slice * 2) in
         if next <> t.slice then begin
           t.slice <- next;
           Dsl.Centralized.set_timeslice t.engine ctx (Some next)

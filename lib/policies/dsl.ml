@@ -119,7 +119,7 @@ module Rq = struct
   let mem t tid = Sim.Idtbl.mem t.queued tid
 
   let grown a need =
-    let b = Array.make (max need (max 8 (2 * Array.length a))) 0 in
+    let b = Array.make (Int.max need (Int.max 8 (2 * Array.length a))) 0 in
     Array.blit a 0 b 0 (Array.length a);
     b
 
@@ -167,7 +167,7 @@ module Rq = struct
 
   let add t tid =
     if t.tail - t.head = Array.length t.ring then begin
-      let ring = Array.make (max 8 (2 * Array.length t.ring)) 0 in
+      let ring = Array.make (Int.max 8 (2 * Array.length t.ring)) 0 in
       for p = t.head to t.tail - 1 do
         ring.(p land (Array.length ring - 1)) <- tid_at t p
       done;
@@ -268,16 +268,21 @@ end
 
 (* --- Keyed bucket queues ------------------------------------------------------ *)
 
-(* A family of FIFO run-queues keyed by an integer (per-CPU queues, per-VM
-   cookie queues), sharing one dedup table so a tid lives in at most one
-   bucket.  Buckets are created lazily on first touch — push, pop or even a
-   length query — preserving each policy's original table layout. *)
+(* A family of FIFO run-queues keyed by a small non-negative integer
+   (per-CPU queues, per-VM cookie queues), sharing one dedup table so a tid
+   lives in at most one bucket.  Buckets are created lazily on first touch —
+   push, pop or even a length query — preserving each policy's original
+   table layout. *)
 module Buckets = struct
   type t = {
     tbl : (int, Rq.t) Hashtbl.t;
-        (* A Hashtbl, not an Idtbl: its fold order breaks ties between
-           equally loaded victims in [Percpu.try_steal], so it must stay
-           the order a 16-bucket Hashtbl gives. *)
+        (* Only the authority on fold order: it breaks ties between equally
+           loaded victims in [Percpu.try_steal], so it must stay the order a
+           16-bucket Hashtbl gives. *)
+    by_key : Rq.t Sim.Idtbl.t;  (* the same bindings, for lookups *)
+    mutable order : (int * Rq.t) array;
+        (* [tbl]'s bindings in [Hashtbl.fold] order, rebuilt whenever a
+           binding is added or removed (a resize reorders only then) *)
     queued : Rq.dedup;
     bucket_of : Task.t -> int;
     mk : int -> Rq.t;
@@ -290,14 +295,28 @@ module Buckets = struct
       | None -> Rq.fifo ~dedup:queued ()
       | Some v -> Rq.fifo ~dedup:queued ~validate:(v k) ()
     in
-    { tbl = Hashtbl.create 16; queued; bucket_of; mk }
+    {
+      tbl = Hashtbl.create 16;
+      by_key = Sim.Idtbl.create ();
+      order = [||];
+      queued;
+      bucket_of;
+      mk;
+    }
+
+  let reorder t =
+    t.order <-
+      Array.of_list
+        (List.rev (Hashtbl.fold (fun k rq acc -> (k, rq) :: acc) t.tbl []))
 
   let bucket t k =
-    match Hashtbl.find_opt t.tbl k with
+    match Sim.Idtbl.find_opt t.by_key k with
     | Some rq -> rq
     | None ->
       let rq = t.mk k in
       Hashtbl.replace t.tbl k rq;
+      Sim.Idtbl.replace t.by_key k rq;
+      reorder t;
       rq
 
   let push_to t k tid =
@@ -320,14 +339,41 @@ module Buckets = struct
   let pop t ctx k = Rq.pop (bucket t k) ctx
   let len t k = Rq.length (bucket t k)
   let drop t tid = Sim.Idtbl.remove t.queued tid
-  let fold f t acc = Hashtbl.fold f t.tbl acc
+
+  let fold f t acc =
+    let order = t.order in
+    let rec go i acc =
+      if i = Array.length order then acc
+      else begin
+        let k, rq = order.(i) in
+        go (i + 1) (f k rq acc)
+      end
+    in
+    go 0 acc
+
+  (* The key of the longest bucket but [skip]'s holding at least [min_len]
+     entries, the first in fold order among the longest; -1 when none. *)
+  let longest t ~skip ~min_len =
+    let order = t.order in
+    let rec go i best best_len =
+      if i = Array.length order then best
+      else begin
+        let k, rq = order.(i) in
+        let len = Rq.length rq in
+        if k <> skip && len > best_len then go (i + 1) k len
+        else go (i + 1) best best_len
+      end
+    in
+    go 0 (-1) (min_len - 1)
 
   let take t k =
-    match Hashtbl.find_opt t.tbl k with
+    match Sim.Idtbl.find_opt t.by_key k with
     | None -> None
-    | Some rq ->
+    | Some _ as found ->
       Hashtbl.remove t.tbl k;
-      Some rq
+      Sim.Idtbl.remove t.by_key k;
+      reorder t;
+      found
 end
 
 (* --- Group-commit assembly ---------------------------------------------------- *)
@@ -813,21 +859,9 @@ module Percpu = struct
      messages for the thread; the thread then stays home this pass and the
      steal is retried later — exactly the drain-and-reissue protocol. *)
   let try_steal t ctx ~cpu =
-    let busiest =
-      Buckets.fold
-        (fun home rq acc ->
-          if home = cpu then acc
-          else begin
-            match acc with
-            | Some (_, best) when Rq.length best >= Rq.length rq -> acc
-            | _ when Rq.length rq >= t.steal_min -> Some (home, rq)
-            | _ -> acc
-          end)
-        t.runqs None
-    in
-    match busiest with
-    | None -> None
-    | Some (home, _) -> (
+    let home = Buckets.longest t.runqs ~skip:cpu ~min_len:t.steal_min in
+    if home < 0 then None
+    else begin
       match Buckets.pop t.runqs ctx home with
       | None -> None
       | Some task -> (
@@ -842,7 +876,8 @@ module Percpu = struct
           | Error `Pending_messages ->
             (* Old queue not drained yet: put it back and retry later. *)
             Buckets.push_to t.runqs home task.Task.tid;
-            None)))
+            None))
+    end
 
   let try_schedule_local t ctx =
     let cpu = Abi.cpu ctx in

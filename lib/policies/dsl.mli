@@ -115,11 +115,12 @@ module Rq : sig
       @raise Invalid_argument on FIFO. *)
 end
 
-(** A family of FIFO run-queues keyed by an integer (per-CPU queues,
-    per-VM cookie queues), sharing one dedup table so a tid lives in at
-    most one bucket.  Buckets are created lazily on first touch — push,
-    pop or even a length query — preserving each policy's original table
-    layout. *)
+(** A family of FIFO run-queues keyed by a small non-negative integer
+    (per-CPU queues, per-VM cookie queues), sharing one dedup table so a
+    tid lives in at most one bucket.  Buckets are created lazily on first
+    touch — push, pop or even a length query — preserving each policy's
+    original table layout.  {!fold} visits them in the order a 16-bucket
+    [Hashtbl] holding the same bindings would. *)
 module Buckets : sig
   type t
 

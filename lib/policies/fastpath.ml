@@ -46,7 +46,7 @@ let set_present t tid on =
   let byte = tid lsr 3 in
   let len = Bytes.length t.present in
   if byte >= len then begin
-    let grown = Bytes.make (max (byte + 1) (2 * len)) '\000' in
+    let grown = Bytes.make (Int.max (byte + 1) (2 * len)) '\000' in
     Bytes.blit t.present 0 grown 0 len;
     t.present <- grown
   end;

@@ -15,7 +15,7 @@ let earlier a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 let grow t entry =
   let cap = Array.length t.heap in
   if t.size = cap then begin
-    let heap = Array.make (max 8 (2 * cap)) entry in
+    let heap = Array.make (Int.max 8 (2 * cap)) entry in
     Array.blit t.heap 0 heap 0 t.size;
     t.heap <- heap
   end

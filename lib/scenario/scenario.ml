@@ -297,7 +297,7 @@ let report_of (t : t) (le : live_enclave) =
       (fun acc j ->
         match (acc, j.last_finished) with
         | None, x | x, None -> x
-        | Some a, Some b -> Some (max a b))
+        | Some a, Some b -> Some (Int.max a b))
       None jobs
   in
   {

@@ -28,7 +28,7 @@ let rec sample rng dist =
 
 let sample_ns rng dist =
   let v = int_of_float (Float.round (sample rng dist)) in
-  max 1 v
+  Int.max 1 v
 
 let rec mean = function
   | Const x -> x

@@ -17,7 +17,7 @@ let mem t k = match find_opt t k with Some _ -> true | None -> false
 
 let grow t k =
   let len = Array.length t.slots in
-  let slots = Array.make (max (k + 1) (max 16 (2 * len))) None in
+  let slots = Array.make (Int.max (k + 1) (Int.max 16 (2 * len))) None in
   Array.blit t.slots 0 slots 0 len;
   t.slots <- slots
 

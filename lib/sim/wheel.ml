@@ -118,7 +118,7 @@ let rec level_from base time l =
   else level_from base time (l + 1)
 
 let grow_slot slot =
-  let cap = max 8 (2 * Array.length slot.times) in
+  let cap = Int.max 8 (2 * Array.length slot.times) in
   let cells = Array.make cap dummy_cell in
   let times = Array.make cap 0 in
   let seqs = Array.make cap 0 in

@@ -56,7 +56,7 @@ let behavior t i =
     match t.streams.(i).slot with
     | Some f -> render f
     | None -> Task.Block { after = idle }
-  and render f = Task.Run { ns = max 1 f.service; after = (fun () -> finish f) }
+  and render f = Task.Run { ns = Int.max 1 f.service; after = (fun () -> finish f) }
   and finish f =
     let s = t.streams.(i) in
     s.slot <- None;

@@ -40,11 +40,11 @@ let start t ~until =
     if Sim.Engine.now engine < until then begin
       arrival t;
       let gap = Sim.Rng.exponential t.rng ~mean:(1e9 /. t.rate) in
-      ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float gap)) tick)
+      ignore (Sim.Engine.post_in engine ~delay:(Int.max 1 (int_of_float gap)) tick)
     end
   in
   let first = Sim.Rng.exponential t.rng ~mean:(1e9 /. t.rate) in
-  ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float first)) tick)
+  ignore (Sim.Engine.post_in engine ~delay:(Int.max 1 (int_of_float first)) tick)
 
 let create kernel ~seed ~rate ~service ~nworkers ~spawn =
   if not (rate > 0.0 && Float.is_finite rate) then

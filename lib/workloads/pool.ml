@@ -25,11 +25,11 @@ let behavior t i =
       t.slots.(i) <- None;
       t.on_done job;
       next ()
-    | Compute ns :: rest -> Task.Run { ns = max 1 ns; after = (fun () -> steps job rest) }
+    | Compute ns :: rest -> Task.Run { ns = Int.max 1 ns; after = (fun () -> steps job rest) }
     | Io ns :: rest ->
       (* Park for the I/O; a timer completion wakes us. *)
       ignore
-        (Sim.Engine.post_in (Kernel.engine t.kernel) ~delay:(max 1 ns) (fun () ->
+        (Sim.Engine.post_in (Kernel.engine t.kernel) ~delay:(Int.max 1 ns) (fun () ->
              Kernel.wake t.kernel t.tasks.(i)));
       Task.Block { after = (fun () -> steps job rest) }
   and next () =
@@ -45,7 +45,7 @@ let behavior t i =
     | exception Queue.Empty ->
       if left <= 0 then park ()
       else begin
-        let chunk = min t.poll_chunk left in
+        let chunk = Int.min t.poll_chunk left in
         Task.Run { ns = chunk; after = (fun () -> poll (left - chunk)) }
       end
   and park () =

@@ -121,12 +121,12 @@ let start_stream t qtype rate ~burst ~until =
         done;
         let mean_gap = (float_of_int burst +. 0.5) *. (1e9 /. rate) in
         let gap = Sim.Rng.exponential t.rng ~mean:mean_gap in
-        ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float gap)) tick)
+        ignore (Sim.Engine.post_in engine ~delay:(Int.max 1 (int_of_float gap)) tick)
       end
     in
     ignore
       (Sim.Engine.post_in engine
-         ~delay:(max 1 (Sim.Rng.int t.rng (int_of_float (1e9 /. rate))))
+         ~delay:(Int.max 1 (Sim.Rng.int t.rng (int_of_float (1e9 /. rate))))
          tick)
   end
 

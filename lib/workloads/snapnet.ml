@@ -67,11 +67,11 @@ let start_flow t ~flow ~burst size ~until =
          to keep the long-run rate at [rate_per_flow]. *)
       let mean_gap = (float_of_int burst +. 0.5) *. (1e9 /. t.rate_per_flow) in
       let gap = Sim.Rng.exponential t.rng ~mean:mean_gap in
-      ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float gap)) tick)
+      ignore (Sim.Engine.post_in engine ~delay:(Int.max 1 (int_of_float gap)) tick)
     end
   in
   let first = Sim.Rng.float t.rng (1e9 /. t.rate_per_flow) in
-  ignore (Sim.Engine.post_in engine ~delay:(max 1 (int_of_float first)) tick)
+  ignore (Sim.Engine.post_in engine ~delay:(Int.max 1 (int_of_float first)) tick)
 
 (* The paper's six flows: one 64 B flow and five 64 kB flows. *)
 let small_flows = 1

@@ -29,7 +29,7 @@ let smt_behavior kernel ~work ~slice t cell () =
           | Some (other : Task.t) -> not other.Task.is_agent
           | None -> false))
     in
-    if busy_sibling then max 1 (int_of_float (smt_factor *. float_of_int ns))
+    if busy_sibling then Int.max 1 (int_of_float (smt_factor *. float_of_int ns))
     else ns
   in
   let rec step left () =
@@ -39,7 +39,7 @@ let smt_behavior kernel ~work ~slice t cell () =
       Task.Exit
     end
     else begin
-      let ns = min slice left in
+      let ns = Int.min slice left in
       Task.Run { ns; after = (fun () -> step (left - progress ns) ()) }
     end
   in

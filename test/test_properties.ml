@@ -565,7 +565,7 @@ let rq_world n =
         t.Kernel.Task.tid)
   in
   let ctx =
-    Ghost.Abi.context sys e ~agents:(Hashtbl.create 1)
+    Ghost.Abi.context sys e ~agents:(Sim.Idtbl.create ())
       ~sws:(Sim.Idtbl.create ()) ~cpu_queues:(Sim.Idtbl.create ())
       ~poked:(Sim.Idtbl.create ()) ~cpu_list:(ref [ 0; 1 ])
   in
@@ -705,6 +705,216 @@ let test_publish_walk_equivalence =
       in
       run publish_per_entry = run Policies.Dsl.Centralized.publish)
 
+(* --- Dsl.Buckets' fold order ------------------------------------------------------------ *)
+
+module Buckets = Policies.Dsl.Buckets
+
+type bucket_op = Touch of int | Pop_from of int | Take of int
+
+let test_buckets_fold_order =
+  (* Keys up to 63, so the reference table resizes past 32 bindings; takes
+     reorder it too.  Percpu's steal ties and the digests read this order. *)
+  let key = QCheck.Gen.(frequency [ (3, int_bound 7); (2, int_bound 63) ]) in
+  qtest ~name:"dsl buckets fold = 16-bucket Hashtbl fold" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 0 300)
+            (frequency
+               [
+                 (4, map (fun k -> Touch k) key);
+                 (2, map (fun k -> Pop_from k) key);
+                 (2, map (fun k -> Take k) key);
+               ])))
+    (fun ops ->
+      let ctx, _ = rq_world 2 in
+      let b = Buckets.create () in
+      let reference = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          let same_take =
+            match op with
+            | Touch k ->
+              ignore (Buckets.len b k);
+              Hashtbl.replace reference k ();
+              true
+            | Pop_from k ->
+              ignore (Buckets.pop b ctx k);
+              Hashtbl.replace reference k ();
+              true
+            | Take k ->
+              let had = Hashtbl.mem reference k in
+              Hashtbl.remove reference k;
+              Option.is_some (Buckets.take b k) = had
+          in
+          same_take
+          && Buckets.fold (fun k _ acc -> k :: acc) b []
+             = Hashtbl.fold (fun k () acc -> k :: acc) reference [])
+        ops)
+
+(* --- CFS: the idle-balance count and the runqueue order ------------------------------- *)
+
+type cfs_op =
+  | C_enqueue of int * int * bool  (* task, index into its affinity, is_new *)
+  | C_dequeue of int
+  | C_pick of int * bool  (* cpu, filtered *)
+  | C_put_prev of int
+  | C_steal of int * bool
+
+let test_cfs_steal_exact =
+  (* Two CCXs of three CPUs, eight tasks with random affinities, driven
+     through the class's own interface.  The model says where each task is
+     queued or held (picked or stolen, as if running there). *)
+  let ncpus = 6 and ntasks = 8 in
+  let ccx c = c / 3 in
+  let op_gen =
+    QCheck.Gen.(
+      let task = int_bound (ntasks - 1) and cpu = int_bound (ncpus - 1) in
+      frequency
+        [
+          (5, map3 (fun i j n -> C_enqueue (i, j, n)) task (int_bound 5) bool);
+          (1, map (fun i -> C_dequeue i) task);
+          (2, map2 (fun c f -> C_pick (c, f)) cpu bool);
+          (2, map (fun i -> C_put_prev i) task);
+          (4, map2 (fun c f -> C_steal (c, f)) cpu bool);
+        ])
+  in
+  qtest ~name:"cfs steal finds a task iff its CCX queues an allowed one" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (list_repeat ntasks (int_range 1 ((1 lsl ncpus) - 1)))
+            (list_size (int_range 0 200) op_gen)))
+    (fun (masks, ops) ->
+      let topo =
+        Hw.Topology.create ~sockets:1 ~ccx_per_socket:2 ~cores_per_ccx:3 ~smt:1
+      in
+      let env : Kernel.Class_intf.env =
+        {
+          engine = Sim.Engine.create ();
+          topo;
+          costs = Hw.Costs.skylake;
+          ncpus;
+          core_sched = false;
+          curr = (fun _ -> None);
+          cpu_idle = (fun _ -> true);
+          resched = (fun _ -> ());
+          note_queued = (fun ~cpu:_ _ -> ());
+        }
+      in
+      let cls = Kernel.Cfs.cls (Kernel.Cfs.create env) in
+      let cpus_of mask = List.filter (fun c -> mask land (1 lsl c) <> 0) (List.init ncpus Fun.id) in
+      let tasks =
+        Array.of_list
+          (List.mapi
+             (fun i mask ->
+               Kernel.Task.make ~tid:(i + 1) ~name:"t" ~policy:Kernel.Task.Cfs
+                 ~nice:0
+                 ~affinity:(Cpumask.of_list ~ncpus (cpus_of mask))
+                 (fun () -> Kernel.Task.Exit))
+             masks)
+      in
+      let index (task : Kernel.Task.t) = task.tid - 1 in
+      let queued_on = Array.make ntasks (-1) and held_on = Array.make ntasks (-1) in
+      let filter_of filtered =
+        if filtered then fun (task : Kernel.Task.t) -> task.tid mod 2 = 0
+        else Kernel.Class_intf.no_filter
+      in
+      let take_from ~cpu = function
+        | Some task ->
+          queued_on.(index task) <- -1;
+          held_on.(index task) <- cpu
+        | None -> ()
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | C_enqueue (i, j, is_new) ->
+              if queued_on.(i) < 0 && held_on.(i) < 0 then begin
+                let allowed = Cpumask.to_list tasks.(i).affinity in
+                let cpu = List.nth allowed (j mod List.length allowed) in
+                cls.enqueue ~cpu ~is_new tasks.(i);
+                queued_on.(i) <- cpu
+              end;
+              true
+            | C_dequeue i ->
+              if queued_on.(i) >= 0 then begin
+                cls.dequeue tasks.(i);
+                queued_on.(i) <- -1
+              end;
+              true
+            | C_put_prev i ->
+              let cpu = held_on.(i) in
+              if cpu >= 0 then begin
+                cls.put_prev ~cpu tasks.(i);
+                held_on.(i) <- -1;
+                queued_on.(i) <- cpu
+              end;
+              true
+            | C_pick (cpu, filtered) ->
+              let filter = filter_of filtered in
+              let got = cls.pick ~cpu ~filter in
+              let ok =
+                match got with
+                | Some task -> queued_on.(index task) = cpu && filter task
+                | None ->
+                  not
+                    (Array.exists
+                       (fun (task : Kernel.Task.t) ->
+                         queued_on.(index task) = cpu && filter task)
+                       tasks)
+              in
+              take_from ~cpu got;
+              ok
+            | C_steal (cpu, filtered) ->
+              let filter = filter_of filtered in
+              let stealable (task : Kernel.Task.t) =
+                let q = queued_on.(index task) in
+                q >= 0 && q <> cpu && ccx q = ccx cpu
+                && Cpumask.mem task.affinity cpu && filter task
+              in
+              let got = cls.steal ~cpu ~filter in
+              let ok =
+                match got with
+                | Some task -> stealable task && task.cpu = cpu
+                | None -> not (Array.exists stealable tasks)
+              in
+              take_from ~cpu got;
+              ok
+          in
+          ok
+          && List.for_all
+               (fun cpu ->
+                 cls.nr_runnable ~cpu
+                 = Array.fold_left (fun n q -> if q = cpu then n + 1 else n) 0 queued_on)
+               (List.init ncpus Fun.id))
+        ops)
+
+let test_cfs_task_order =
+  let v =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 1.5 ]);
+          (2, float);
+        ])
+  in
+  qtest ~name:"cfs task order = compare on (vruntime, tid)" ~count:2000
+    QCheck.(make Gen.(pair (pair v (int_bound 3)) (pair v (int_bound 3))))
+    (fun ((va, ta), (vb, tb)) ->
+      let task v tid =
+        let t =
+          Kernel.Task.make ~tid ~name:"t" ~policy:Kernel.Task.Cfs ~nice:0
+            ~affinity:(Cpumask.create_full ~ncpus:1)
+            (fun () -> Kernel.Task.Exit)
+        in
+        t.vruntime <- v;
+        t
+      in
+      Kernel.Cfs.TaskOrd.compare (task va ta) (task vb tb) = compare (va, ta) (vb, tb))
+
 (* --- Task combinators --------------------------------------------------------------- *)
 
 let test_compute_total_sums =
@@ -734,7 +944,8 @@ let () =
         test_uniform_class_identity;
         test_dsl_work_conservation; test_dsl_no_lost_threads;
         test_dsl_bounded_starvation; test_rq_fifo_model;
-        test_publish_walk_equivalence; test_compute_total_sums;
+        test_publish_walk_equivalence; test_buckets_fold_order;
+        test_cfs_steal_exact; test_cfs_task_order; test_compute_total_sums;
       ]
   in
   Alcotest.run "properties" [ ("model-based", suite) ]

@@ -128,82 +128,9 @@ let agent_banned member = member = "kernel" || member = "sys"
 let abi_runtime_only member =
   List.mem member [ "context"; "begin_pass"; "charged"; "batches"; "wire_wakeup" ]
 
-let is_ident_char c =
-  (c >= 'A' && c <= 'Z')
-  || (c >= 'a' && c <= 'z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-(* Blank out comments (nesting) and string literals, preserving line
-   structure so reported line numbers stay right. *)
-let strip source =
-  let b = Buffer.create (String.length source) in
-  let n = String.length source in
-  let depth = ref 0 and in_string = ref false in
-  let i = ref 0 in
-  while !i < n do
-    let c = source.[!i] in
-    if !in_string then begin
-      if c = '\\' && !i + 1 < n then begin
-        Buffer.add_string b "  ";
-        incr i
-      end
-      else begin
-        if c = '"' then in_string := false;
-        Buffer.add_char b (if c = '\n' then '\n' else ' ')
-      end
-    end
-    else if !depth > 0 then begin
-      if c = '(' && !i + 1 < n && source.[!i + 1] = '*' then begin
-        incr depth;
-        Buffer.add_string b "  ";
-        incr i
-      end
-      else if c = '*' && !i + 1 < n && source.[!i + 1] = ')' then begin
-        decr depth;
-        Buffer.add_string b "  ";
-        incr i
-      end
-      else Buffer.add_char b (if c = '\n' then '\n' else ' ')
-    end
-    else if c = '(' && !i + 1 < n && source.[!i + 1] = '*' then begin
-      depth := 1;
-      Buffer.add_string b "  ";
-      incr i
-    end
-    else if c = '"' then begin
-      in_string := true;
-      Buffer.add_char b ' '
-    end
-    else Buffer.add_char b c;
-    incr i
-  done;
-  Buffer.contents b
-
-(* Dotted identifier tokens of one (already stripped) line. *)
-let tokens_of_line line =
-  let toks = ref [] in
-  let n = String.length line in
-  let i = ref 0 in
-  while !i < n do
-    if is_ident_char line.[!i] then begin
-      let start = !i in
-      while
-        !i < n
-        && (is_ident_char line.[!i]
-           || (line.[!i] = '.' && !i + 1 < n && is_ident_char line.[!i + 1]))
-      do
-        incr i
-      done;
-      toks := String.sub line start (!i - start) :: !toks
-    end
-    else incr i
-  done;
-  List.rev !toks
-
 let module_binding line =
   (* ["module NAME ="] on an already stripped line, if any. *)
-  let toks = tokens_of_line line in
+  let toks = Source_scan.tokens_of_line line in
   match toks with
   | "module" :: name :: _ when not (String.contains name '.') -> Some name
   | _ -> None
@@ -261,21 +188,21 @@ let check_line ~rules ~file ~lnum line =
         | Some name when name = last -> ()
         | Some name ->
           report ~file ~lnum "aliasing %s as %s defeats the ABI lint" last name
-        | None when List.mem "open" (tokens_of_line line) ->
+        | None when List.mem "open" (Source_scan.tokens_of_line line) ->
           report ~file ~lnum "opening %s defeats the ABI lint" last
         | None when comps = [ last ] ->
           (* "module" itself tokenizes, so a bare name here is a use site. *)
           report ~file ~lnum "bare %s module reference outside an alias" last
         | None -> ())
       | _ -> ())
-    (tokens_of_line line)
+    (Source_scan.tokens_of_line line)
 
 let check_file ~rules file =
   let ic = open_in_bin file in
   let len = in_channel_length ic in
   let source = really_input_string ic len in
   close_in ic;
-  let lines = String.split_on_char '\n' (strip source) in
+  let lines = String.split_on_char '\n' (Source_scan.strip source) in
   List.iteri (fun i line -> check_line ~rules ~file ~lnum:(i + 1) line) lines
 
 let check_dir ?rules dir =
